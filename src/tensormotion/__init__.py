@@ -12,10 +12,6 @@ from tensormotion.tensor_ops import (
     cp_reconstruct,
     frobenius_norm,
     khatri_rao,
-    kronecker,
-    matricize,
-    refold,
-    vectorize,
 )
 from tensormotion.regression import (
     FitResult,
@@ -81,10 +77,6 @@ __all__ = [
     "cp_reconstruct",
     "frobenius_norm",
     "khatri_rao",
-    "kronecker",
-    "matricize",
-    "refold",
-    "vectorize",
     "FitResult",
     "RegressionConfig",
     "SingularSystemError",

@@ -51,10 +51,6 @@ class WarpResult:
     path: np.ndarray
     matched_end: int
 
-    @property
-    def matched_start(self) -> int:
-        return int(self.path[0, 1])
-
 
 def _as_channels(seq: np.ndarray) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)

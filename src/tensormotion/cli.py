@@ -386,9 +386,7 @@ def _cmd_uncertainty(args) -> int:
         )
     else:
         picked = list(range(len(collection.entries)))
-    bands = predictive_variation(
-        ref, collection, n_samples=args.samples, seed=args.seed
-    )
+    bands = predictive_variation(ref, collection)
 
     # center trajectories: each model applied to its clean training window
     ext = extend_reference(ref, config.past_frames)
@@ -407,8 +405,6 @@ def _cmd_uncertainty(args) -> int:
         "model_rows": np.array(picked, dtype=np.int64),
         "time_indices": collection.time_indices,
         "segment_names": np.array(ref.angles.joint_names),
-        "n_samples": np.int64(args.samples),
-        "seed": np.int64(args.seed),
         "angle_std": np.stack([b.angle_std for b in bands]),
         "centers_angle": centers,
     }
@@ -437,10 +433,7 @@ def _cmd_uncertainty(args) -> int:
     if args.skeleton:
         inputs["skeleton"] = args.skeleton
     _manifest(args, "uncertainty", inputs, {"bands": args.out})
-    print(
-        f"estimated bands for {len(collection.entries)} models from "
-        f"{args.samples} samples"
-    )
+    print(f"propagated bands for {len(collection.entries)} models")
     return 0
 
 
@@ -715,8 +708,6 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--skeleton", help="skeleton JSON; adds coordinate-space bands"
     )
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--models", help="model rows to keep: comma list or slice (default all)"
     )

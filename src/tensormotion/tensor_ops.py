@@ -2,9 +2,9 @@
 
 Every routine here treats an ``np.ndarray`` of order ``K`` as a tensor
 whose linearization is column-major: the first index varies fastest.
-Unfoldings, vectorization and the Khatri-Rao product all follow from
-that single convention, so factor matrices computed against an
-unfolding can be folded back without bookkeeping surprises.
+The Khatri-Rao product and the CP reconstruction follow that single
+convention, so a tensor rebuilt from its factors matches the layout the
+regression fits against.
 """
 
 from __future__ import annotations
@@ -20,69 +20,7 @@ __all__ = [
     "cp_reconstruct",
     "frobenius_norm",
     "khatri_rao",
-    "kronecker",
-    "matricize",
-    "refold",
-    "vectorize",
 ]
-
-
-def matricize(tensor: np.ndarray, mode: int) -> np.ndarray:
-    """Unfold a tensor along one mode.
-
-    Parameters
-    ----------
-    tensor : np.ndarray
-        Array of order >= 1.
-    mode : int
-        Mode to unfold along, 1-based.
-
-    Returns
-    -------
-    np.ndarray
-        Matrix of shape ``(I_mode, prod(I_other))``. Mode-``mode``
-        fibers become columns; columns are ordered with the lowest
-        remaining mode varying fastest.
-    """
-    tensor = np.asarray(tensor)
-    if tensor.ndim < 1:
-        raise ValueError("cannot matricize a scalar")
-    if not 1 <= mode <= tensor.ndim:
-        raise ValueError(
-            f"mode {mode} out of range for an order-{tensor.ndim} tensor"
-        )
-    moved = np.moveaxis(tensor, mode - 1, 0)
-    return moved.reshape((tensor.shape[mode - 1], -1), order="F")
-
-
-def refold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`matricize` for a tensor of the given shape."""
-    matrix = np.asarray(matrix)
-    shape = tuple(int(s) for s in shape)
-    if not 1 <= mode <= len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    expected = (shape[mode - 1], int(np.prod(shape)) // shape[mode - 1])
-    if matrix.shape != expected:
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match unfolding {expected}"
-        )
-    moved_shape = (shape[mode - 1],) + shape[: mode - 1] + shape[mode:]
-    tensor = matrix.reshape(moved_shape, order="F")
-    return np.moveaxis(tensor, 0, mode - 1)
-
-
-def vectorize(tensor: np.ndarray) -> np.ndarray:
-    """Flatten a tensor with the first index varying fastest."""
-    return np.asarray(tensor).reshape(-1, order="F")
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kronecker expects two matrices")
-    return np.kron(a, b)
 
 
 def khatri_rao(matrices: Sequence[np.ndarray]) -> np.ndarray:

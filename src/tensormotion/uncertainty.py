@@ -1,12 +1,12 @@
 """Predictive uncertainty for the motion pipeline.
 
-Two complementary routes. The fast one perturbs the reference cycle with
-its own per-timestep spread, pushes the perturbed windows through each
-trained model and reads off the per-entry standard deviation of the
-predicted tail; it runs at collection-build time and needs no sampling
-of model parameters. The principled one draws from the Bayesian
-posterior of a single model via the Gibbs sampler and summarizes the
-predictive draws with equal-tailed intervals.
+Two complementary routes. The fast one propagates the reference cycle's
+own per-timestep spread exactly through each trained (linear) model and
+reads off the per-entry standard deviation of the predicted tail; it
+runs at collection-build time and draws no random numbers. The
+principled one draws from the Bayesian posterior of a single model via
+the Gibbs sampler and summarizes the predictive draws with equal-tailed
+intervals.
 
 Angle-space bands translate to coordinate space by back-transforming the
 band edges around a center trajectory and taking the largest per-axis
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tensormotion.cycles import ReferenceCycle, extend_reference
+from tensormotion.cycles import ReferenceCycle
 from tensormotion.kinematics import Skeleton, angles_to_coordinates
 from tensormotion.predictor import CoefficientCollection, PredictionFrame
 from tensormotion.regression import RegressionConfig, gibbs_sample
@@ -79,36 +79,35 @@ class UncertaintyBand:
 def predictive_variation(
     reference: ReferenceCycle,
     collection: CoefficientCollection,
-    n_samples: int = 1000,
-    seed: int = 0,
+    n_samples: int | None = None,
 ) -> list[UncertaintyBand]:
-    """Monte-Carlo band per model from the reference's own variability.
+    """Exact band per model from the reference's own variability.
 
-    Draws ``n_samples`` perturbed reference cycles (Gaussian noise with
-    the reference's per-timestep standard deviation), extends each by
-    its tail, feeds every model its training-position window and
-    measures the spread (``ddof=1``) of the predicted tail. Since each
-    model is linear, the bands scale linearly with the injected spread.
+    Treats every reference cell as carrying independent noise with the
+    reference's per-timestep standard deviation ``s`` and propagates it
+    through each model. A model maps every frame on its own through the
+    coefficient tensor ``B``, so the spread of a predicted tail entry is
+    ``sqrt((s^2)^T (B o B))`` over the one input frame it reads. The
+    tail frames are the extended-reference rows ``end - future + 1``
+    to ``end``, i.e. reference rows ``(row - past) % n_ref``.
+
+    ``n_samples`` is accepted and ignored: the bands are exact, and the
+    argument stays only because ``perfbench`` still passes it.
 
     Returns one band per collection entry, in entry order.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples to estimate a spread")
     cfg = collection.config
     past, future = cfg.past_frames, cfg.future_frames
-    rng = np.random.default_rng(seed)
-    base = reference.angles.frames
-    n_ref = base.shape[0]
-    noise = rng.standard_normal((n_samples,) + base.shape)
-    samples = base[None] + noise * reference.per_timestep_std[None]
-    ext = np.concatenate([samples[:, n_ref - past :], samples], axis=1)
+    var = reference.per_timestep_std**2
+    n_ref = var.shape[0]
     bands = []
     for entry in collection.entries:
-        end = entry.time_index
-        windows = ext[:, end - past + 1 : end + 1]
+        rows = np.arange(entry.time_index - future + 1, entry.time_index + 1)
+        tail_var = var[(rows - past) % n_ref].reshape(future, -1)
         coeff = cp_reconstruct(entry.factors)
-        tail = np.tensordot(windows, coeff, axes=2)[:, -future:]
-        bands.append(UncertaintyBand(angle_std=tail.std(axis=0, ddof=1)))
+        squared = coeff.reshape(tail_var.shape[1], -1) ** 2
+        std = np.sqrt(tail_var @ squared).reshape((future,) + coeff.shape[2:])
+        bands.append(UncertaintyBand(angle_std=std))
     return bands
 
 
@@ -122,10 +121,6 @@ class PosteriorPredictive:
     std: np.ndarray
     credibility: float
     n_samples: int
-
-    def interval_sphere_radius(self) -> np.ndarray:
-        """Per-joint radius from the interval half-width, max over axes."""
-        return ((self.upper - self.lower) / 2).max(axis=-1)
 
 
 def posterior_predictive(

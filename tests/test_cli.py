@@ -82,7 +82,6 @@ def workspace(tmp_path_factory):
             "--reference", str(art["reference"]),
             "--out", str(art["bands"]),
             "--skeleton", str(art["skeleton"]),
-            "--samples", "50", "--seed", "3",
         ],
         [
             "report", "--predictions", str(art["predictions"]),

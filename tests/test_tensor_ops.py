@@ -16,127 +16,7 @@ from tensormotion.tensor_ops import (
     cp_reconstruct,
     frobenius_norm,
     khatri_rao,
-    kronecker,
-    matricize,
-    refold,
-    vectorize,
 )
-
-
-def _cube_0_to_7() -> np.ndarray:
-    """2x2x2 tensor whose entry at (i, j, k) is i + 2j + 4k."""
-    t = np.empty((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                t[i, j, k] = i + 2 * j + 4 * k
-    return t
-
-
-class TestMatricize:
-    """Mode unfolding and its inverse."""
-
-    def test_cube_all_modes_frozen(self):
-        t = _cube_0_to_7()
-        np.testing.assert_array_equal(
-            matricize(t, 1), [[0, 2, 4, 6], [1, 3, 5, 7]]
-        )
-        np.testing.assert_array_equal(
-            matricize(t, 2), [[0, 1, 4, 5], [2, 3, 6, 7]]
-        )
-        np.testing.assert_array_equal(
-            matricize(t, 3), [[0, 1, 2, 3], [4, 5, 6, 7]]
-        )
-
-    def test_matrix_modes(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(matricize(a, 1), a)
-        np.testing.assert_array_equal(matricize(a, 2), a.T)
-
-    def test_column_index_walk(self):
-        """Column of entry (i1..iD) follows first-remaining-fastest strides."""
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal((2, 3, 4))
-        for mode in (1, 2, 3):
-            unfolded = matricize(t, mode)
-            rest = [d for d in range(3) if d != mode - 1]
-            for idx in np.ndindex(*t.shape):
-                col, stride = 0, 1
-                for d in rest:
-                    col += idx[d] * stride
-                    stride *= t.shape[d]
-                assert unfolded[idx[mode - 1], col] == t[idx]
-
-    def test_refold_round_trip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            ndim = rng.integers(2, 6)
-            shape = tuple(rng.integers(1, 5, size=ndim))
-            t = rng.standard_normal(shape)
-            for mode in range(1, ndim + 1):
-                back = refold(matricize(t, mode), mode, shape)
-                np.testing.assert_array_equal(back, t)
-
-    def test_mode_out_of_range(self):
-        t = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            matricize(t, 0)
-        with pytest.raises(ValueError):
-            matricize(t, 3)
-
-
-class TestVectorize:
-    """Column-major flattening."""
-
-    def test_matrix_frozen(self):
-        a = np.array([[1.0, 3.0], [2.0, 4.0]])
-        np.testing.assert_array_equal(vectorize(a), [1.0, 2.0, 3.0, 4.0])
-
-    def test_agrees_with_index_formula(self):
-        rng = np.random.default_rng(3)
-        t = rng.standard_normal((3, 2, 4))
-        v = vectorize(t)
-        for idx in np.ndindex(*t.shape):
-            flat = idx[0] + 3 * idx[1] + 6 * idx[2]
-            assert v[flat] == t[idx]
-
-
-class TestKronecker:
-    """Kronecker product conventions."""
-
-    def test_frozen_2x2(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        expected = np.array(
-            [
-                [0.0, 1.0, 0.0, 2.0],
-                [1.0, 0.0, 2.0, 0.0],
-                [0.0, 3.0, 0.0, 4.0],
-                [3.0, 0.0, 4.0, 0.0],
-            ]
-        )
-        np.testing.assert_array_equal(kronecker(a, b), expected)
-
-    def test_element_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        k = kronecker(a, b)
-        assert k.shape == (6, 6)
-        for i, j in np.ndindex(2, 3):
-            for p, q in np.ndindex(3, 2):
-                assert k[i * 3 + p, j * 2 + q] == a[i, j] * b[p, q]
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 2))
-        b = rng.standard_normal((2, 5))
-        np.testing.assert_allclose(
-            frobenius_norm(kronecker(a, b)),
-            frobenius_norm(a) * frobenius_norm(b),
-            rtol=1e-12,
-        )
 
 
 class TestKhatriRao:
