@@ -181,6 +181,8 @@ def build_collection(
     Positions step by ``model_stride_frames`` through the extended
     reference; each fit warm-starts from its predecessor, which keeps
     neighboring models on the same optimization track and cuts sweeps.
+    Fits that stop at ``max_sweeps`` without meeting the tolerance are
+    counted and reported in one logged warning per build.
     """
     past, future = config.past_frames, config.future_frames
     if reference.length_frames < past:
@@ -195,12 +197,21 @@ def build_collection(
         raise ValueError("extended reference cannot host a single model window")
     entries = []
     warm = None
+    capped = 0
     for end in range(past - 1, n_ext - future, config.model_stride_frames):
         x = frames[end - past + 1 : end + 1]
         y = frames[end - past + 1 + future : end + 1 + future]
         result = fit(x, y, config.regression, init=warm)
         warm = result.factors
+        capped += not result.converged
         entries.append(CollectionEntry(time_index=end, factors=result.factors))
+    if capped:
+        log.warning(
+            "%d of %d fits stopped at max_sweeps=%d without converging",
+            capped,
+            len(entries),
+            config.regression.max_sweeps,
+        )
     return CoefficientCollection(config=config, entries=tuple(entries))
 
 
@@ -303,7 +314,11 @@ def run_online(
     order, or ``(timestamp, frame)`` pairs. With timestamps, a jump
     exceeding 1.5 frame intervals is logged and reported as
     ``gap_frames`` on the next batch; processing continues with the
-    frames that did arrive.
+    frames that did arrive. A frame whose timestamp is not later than
+    the last accepted one (a duplicate or backwards stamp) is logged
+    and dropped: it does not enter the window or advance the stream
+    index, and as it did arrive, it does not count as a missing frame
+    when the next forward step is checked for a gap.
 
     The first batch appears once ``past_frames`` frames are buffered;
     later batches follow every ``update_stride_frames`` frames. Feeding
@@ -321,6 +336,7 @@ def run_online(
     count = 0
     prev_time = None
     pending_gap = 0
+    dropped = 0  # frames rejected since the last accepted one
     for item in stream:
         if isinstance(item, tuple) and len(item) == 2:
             stamp_time, frame = item
@@ -334,15 +350,27 @@ def run_online(
             )
         if stamp_time is not None and prev_time is not None:
             dt = stamp_time - prev_time
-            if dt > 1.5 * expected_dt:
-                missed = int(round(dt * cfg.frame_rate)) - 1
-                pending_gap += missed
+            if dt <= 0:
                 log.warning(
-                    "stream gap: %.4f s (~%d frames) before frame %d",
-                    dt,
-                    missed,
+                    "dropped a frame before frame %d: timestamp %.4f s is "
+                    "not later than the previous %.4f s",
                     count,
+                    stamp_time,
+                    prev_time,
                 )
+                dropped += 1
+                continue
+            if dt > 1.5 * expected_dt:
+                missed = int(round(dt * cfg.frame_rate)) - 1 - dropped
+                if missed > 0:
+                    pending_gap += missed
+                    log.warning(
+                        "stream gap: %.4f s (~%d frames) before frame %d",
+                        dt,
+                        missed,
+                        count,
+                    )
+        dropped = 0
         prev_time = stamp_time
         buffer.append(frame)
         if len(buffer) > past:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from tensormotion.tensor_ops import (
     CpFactors,
@@ -103,56 +104,90 @@ def _gram_prod(mats) -> np.ndarray:
     return gram
 
 
-def _partial_inputs(x: np.ndarray, ins: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract ``x`` with every input factor except ``skip``.
+@dataclass(frozen=True)
+class _Compressed:
+    """One fit's data after the QR compression ``X_1 = Q R``.
 
-    Returns an ``(N, P_skip, R)`` array whose ``r``-th slice is the input
-    tensor contracted with the ``r``-th column of each other factor.
+    For every coefficient ``B``, ``||Y_1 - X_1 B||^2`` equals
+    ``||Q^T Y_1 - R B||^2 + sse_offset``, so the sweeps run on ``R`` and
+    ``Q^T Y_1``, which have ``min(N, prod(P))`` rows instead of ``N``.
+    ``x1`` and ``y1`` are those two matrices; the unfoldings are the
+    same data with one mode pulled out, ready for a single matmul.
     """
+
+    x1: np.ndarray
+    y1: np.ndarray
+    input_unfoldings: tuple[np.ndarray, ...]
+    output_unfoldings: tuple[np.ndarray, ...]
+    sse_offset: float
+
+
+def _compress(x: np.ndarray, y: np.ndarray) -> _Compressed:
     n_obs = x.shape[0]
+    x1 = x.reshape(n_obs, -1, order="F")
+    y1 = y.reshape(n_obs, -1, order="F")
+    q, r = np.linalg.qr(x1)
+    qty = q.T @ y1
+    # the part of Y_1 outside the column space of X_1, taken directly:
+    # ||Y_1||^2 - ||Q^T Y_1||^2 would cancel catastrophically
+    lost = y1 - q @ qty
+    rows = r.shape[0]
+    xt = r.reshape((rows,) + x.shape[1:], order="F")
+    yt = qty.reshape((rows,) + y.shape[1:], order="F")
+    # mode l to the front of the data modes (input) or of everything
+    # (output); C order then puts the last remaining mode fastest, as
+    # khatri_rao orders its rows
+    return _Compressed(
+        x1=r,
+        y1=qty,
+        input_unfoldings=tuple(
+            np.moveaxis(xt, 1 + l, 1).reshape(rows * p, -1)
+            for l, p in enumerate(x.shape[1:])
+        ),
+        output_unfoldings=tuple(
+            np.moveaxis(yt, 1 + m, 0).reshape(q_m, -1)
+            for m, q_m in enumerate(y.shape[1:])
+        ),
+        sse_offset=float(np.vdot(lost, lost)),
+    )
+
+
+def _input_system(data: _Compressed, ins, outs, skip, penalty):
+    """Normal equations for one input factor, all others held fixed.
+
+    The unknowns are ordered component-major: entry ``r * P + p`` is
+    row ``p`` of column ``r`` of ``ins[skip]``.
+    """
     rank = ins[0].shape[1]
-    if len(ins) == 1:
-        return np.repeat(x[:, :, None], rank, axis=2)
-    z = np.empty((n_obs, x.shape[1 + skip], rank))
-    for r in range(rank):
-        t = x
-        # contract high modes first so lower axis positions stay put
-        for l in range(len(ins) - 1, -1, -1):
-            if l != skip:
-                t = np.tensordot(t, ins[l][:, r], axes=([1 + l], [0]))
-        z[:, :, r] = t
-    return z
-
-
-def _input_system(x, y1, ins, outs, skip, penalty):
-    """Normal equations for one input factor, all others held fixed."""
-    z = _partial_inputs(x, ins, skip)
+    p_l = ins[skip].shape[0]
+    rows = data.x1.shape[0]
+    others = [f for i, f in enumerate(ins) if i != skip]
+    # z[n, p, r]: observation n contracted with column r of every other
+    # input factor; the leading row of ones lets an order-1 input, which
+    # has no other factor, take the same path
+    z = data.input_unfoldings[skip] @ khatri_rao([np.ones((1, rank))] + others)
+    z = z.reshape(rows, p_l, rank).transpose(0, 2, 1).reshape(rows, rank * p_l)
     wout = khatri_rao(list(reversed(outs)))
-    wgram = wout.T @ wout
-    a = np.einsum("npr,nqs->rpsq", z, z, optimize=True) * wgram[:, None, :, None]
-    p_l, rank = z.shape[1], z.shape[2]
-    a = a.reshape(rank * p_l, rank * p_l)
+    a = z.T @ z
+    blocks = a.reshape(rank, p_l, rank, p_l)
+    blocks *= (wout.T @ wout)[:, None, :, None]
     if penalty:
-        greg = _gram_prod([f for i, f in enumerate(ins) if i != skip] + list(outs))
-        a = a + penalty * np.kron(greg, np.eye(p_l))
-    rhs = np.einsum("npr,nr->rp", z, y1 @ wout).ravel()
-    return a, rhs
+        diag = np.arange(p_l)
+        blocks[:, diag, :, diag] += penalty * _gram_prod(others + list(outs))
+    rhs = np.einsum("nrp,nr->rp", z.reshape(rows, rank, p_l), data.y1 @ wout)
+    return a, rhs.ravel()
 
 
-def _output_system(x1, y, ins, outs, skip, penalty):
+def _output_system(data: _Compressed, ins, outs, skip, penalty):
     """Normal equations for the transposed output factor ``outs[skip]``."""
-    win = khatri_rao(list(reversed(ins)))
-    s = x1 @ win
+    s = data.x1 @ khatri_rao(list(reversed(ins)))
     others = [f for i, f in enumerate(outs) if i != skip]
     dtd = s.T @ s
     if others:
         dtd = dtd * _gram_prod(others)
     if penalty:
         dtd = dtd + penalty * _gram_prod(list(ins) + others)
-    rhs = np.tensordot(s, y, axes=(0, 0))
-    for j in range(len(outs) - 1, -1, -1):
-        if j != skip:
-            rhs = np.einsum("r...q,qr->r...", np.moveaxis(rhs, 1 + j, -1), outs[j])
+    rhs = (data.output_unfoldings[skip] @ khatri_rao([s] + others)).T
     return dtd, rhs
 
 
@@ -166,11 +201,25 @@ def _solution_ok(a, b, u, rtol) -> bool:
     return resid <= rtol * scale
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float) -> np.ndarray:
+def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float):
+    """Solve the symmetric system ``a u = b``.
+
+    Returns ``u`` and the lower Cholesky factor of ``a``, or ``None`` in
+    its place when ``a`` is not numerically positive definite; ``u``
+    then comes from the general solvers.
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        chol = None
+    else:
+        u = cho_solve((chol, True), b, check_finite=False)
+        if _solution_ok(a, b, u, 1e-8):
+            return u, chol
     try:
         u = np.linalg.solve(a, b)
         if _solution_ok(a, b, u, 1e-8):
-            return u
+            return u, chol
     except np.linalg.LinAlgError:
         pass
     if penalty > 0:
@@ -180,18 +229,18 @@ def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float) -> np.ndarray:
         # solution is as optimal as any other
         u, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
         if _solution_ok(a, b, u, 1e-6):
-            return u
+            return u, chol
     raise SingularSystemError(
         f"factor-update system is singular (penalty={penalty}); "
         "a positive penalty keeps every update well-posed"
     )
 
 
-def _objective_parts(x1, y1, ins, outs):
+def _objective_parts(data: _Compressed, ins, outs):
     """Squared residual norm and squared coefficient norm."""
-    s = x1 @ khatri_rao(list(reversed(ins)))
-    resid = y1 - s @ khatri_rao(list(reversed(outs))).T
-    sse = float(np.vdot(resid, resid))
+    s = data.x1 @ khatri_rao(list(reversed(ins)))
+    resid = data.y1 - s @ khatri_rao(list(reversed(outs))).T
+    sse = data.sse_offset + float(np.vdot(resid, resid))
     bnorm2 = float(max(_gram_prod(list(ins) + list(outs)).sum(), 0.0))
     return sse, bnorm2
 
@@ -233,6 +282,19 @@ def fit(
 ) -> FitResult:
     """Fit the CP-constrained coefficient tensor by alternating solves.
 
+    The data enter the objective only through ``X_1^T X_1`` and
+    ``X_1^T Y_1`` (``X_1``, ``Y_1``: the observations flattened
+    column-major), so the fit first takes the reduced QR factorization
+    ``X_1 = Q R`` and sweeps on ``R`` and ``Q^T Y_1``, which have
+    ``min(N, prod(P))`` rows. Every objective value adds back the
+    constant ``||Y_1 - Q Q^T Y_1||^2``, so the trace and
+    ``residual_variance`` (divided by ``y.size``) are those of the full
+    data. Each factor update is one symmetric positive definite system,
+    solved by one Cholesky factorization; a system whose factorization
+    fails or whose solution does not pass the residual check goes to
+    ``np.linalg.solve`` and then, with a positive penalty, to the
+    minimum-norm least-squares solution.
+
     Parameters
     ----------
     x : np.ndarray
@@ -257,32 +319,37 @@ def fit(
     """
     x, y = _validate_pair(x, y)
     ins, outs = _initial_factors(x, y, config, init)
-    n_obs = x.shape[0]
-    x1 = x.reshape(n_obs, -1, order="F")
-    y1 = y.reshape(n_obs, -1, order="F")
+    data = _compress(x, y)
 
-    sse, bnorm2 = _objective_parts(x1, y1, ins, outs)
+    sse, bnorm2 = _objective_parts(data, ins, outs)
     trace = [sse + config.penalty * bnorm2]
     converged = False
     for _ in range(config.max_sweeps):
         for l in range(len(ins)):
-            a, rhs = _input_system(x, y1, ins, outs, l, config.penalty)
-            u = _solve_checked(a, rhs, config.penalty)
+            a, rhs = _input_system(data, ins, outs, l, config.penalty)
+            u, _ = _solve_checked(a, rhs, config.penalty)
             ins[l] = u.reshape(config.rank, -1).T
         for m in range(len(outs)):
-            a, rhs = _output_system(x1, y, ins, outs, m, config.penalty)
-            vt = _solve_checked(a, rhs, config.penalty)
+            a, rhs = _output_system(data, ins, outs, m, config.penalty)
+            vt, _ = _solve_checked(a, rhs, config.penalty)
             outs[m] = vt.T
-        sse, bnorm2 = _objective_parts(x1, y1, ins, outs)
+        sse, bnorm2 = _objective_parts(data, ins, outs)
         trace.append(sse + config.penalty * bnorm2)
         prev, cur = trace[-2], trace[-1]
         if prev - cur <= config.tolerance * max(prev, np.finfo(float).tiny):
             converged = True
             break
+    # row-major, as a reloaded collection's factors are: the solves
+    # leave a mix of layouts, on which cp_reconstruct's Khatri-Rao
+    # products run slower
+    factors = CpFactors(
+        tuple(map(np.ascontiguousarray, ins)),
+        tuple(map(np.ascontiguousarray, outs)),
+    )
     return FitResult(
-        factors=CpFactors(tuple(ins), tuple(outs)),
+        factors=factors,
         objective_trace=np.asarray(trace),
-        residual_variance=sse / y1.size,
+        residual_variance=sse / y.size,
         converged=converged,
     )
 
@@ -319,13 +386,20 @@ def objective(
     ) ** 2
 
 
-def _cholesky_checked(a: np.ndarray, penalty: float) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
+def _draw(a, rhs, penalty, sigma, rng) -> np.ndarray:
+    """One Gaussian draw with precision ``a / sigma**2`` and mean
+    ``a^-1 rhs``; the Cholesky factor of the mean's solve also colours
+    the noise."""
+    mean, chol = _solve_checked(a, rhs, penalty)
+    if chol is None:
         raise SingularSystemError(
             f"conditional precision is not positive definite (penalty={penalty})"
-        ) from exc
+        )
+    noise = solve_triangular(
+        chol, rng.standard_normal(mean.shape), trans="T", lower=True,
+        check_finite=False,
+    )
+    return mean + sigma * noise
 
 
 def gibbs_sample(
@@ -343,9 +417,16 @@ def gibbs_sample(
     conditional on the rest with an inverse-gamma draw of the noise
     variance, then emits a predictive sample (mean response plus noise)
     for every retained state. The fitted point estimate initializes the
-    chain. ``burn_in`` defaults to a quarter of the retained length,
-    i.e. a fifth of all iterations; all randomness derives from
-    ``config.seed``, so repeated calls give identical output.
+    chain. Like :func:`fit`, the chain works on the QR-compressed data,
+    with the residual outside the inputs' column space added to the
+    noise variance's rate, while its shape counts all ``y.size``
+    responses. One Cholesky factorization per conditional gives both
+    the conditional mean and, by a triangular solve, the coloured
+    noise; a conditional precision that is not positive definite
+    raises :class:`SingularSystemError`. ``burn_in`` defaults to a
+    quarter of the retained length, i.e. a fifth of all iterations; all
+    randomness derives from ``config.seed``, so repeated calls give
+    identical output.
 
     Returns
     -------
@@ -374,9 +455,7 @@ def gibbs_sample(
     if xn.ndim != n_in + 1 or xn.shape[1:] != x.shape[1:]:
         raise ValueError("x_new extents do not match the training input")
 
-    n_obs = x.shape[0]
-    x1 = x.reshape(n_obs, -1, order="F")
-    y1 = y.reshape(n_obs, -1, order="F")
+    data = _compress(x, y)
     dim_eff = config.rank * (sum(x.shape[1:]) + sum(y.shape[1:]))
     sigma2 = max(point.residual_variance, 1e-12)
 
@@ -387,20 +466,14 @@ def gibbs_sample(
     kept = []
     for it in range(total):
         for l in range(len(ins)):
-            a, rhs = _input_system(x, y1, ins, outs, l, config.penalty)
-            mean = _solve_checked(a, rhs, config.penalty)
-            chol = _cholesky_checked(a, config.penalty)
-            noise = np.linalg.solve(chol.T, rng.standard_normal(mean.shape))
-            u = mean + math.sqrt(sigma2) * noise
+            a, rhs = _input_system(data, ins, outs, l, config.penalty)
+            u = _draw(a, rhs, config.penalty, math.sqrt(sigma2), rng)
             ins[l] = u.reshape(config.rank, -1).T
         for m in range(len(outs)):
-            a, rhs = _output_system(x1, y, ins, outs, m, config.penalty)
-            mean = _solve_checked(a, rhs, config.penalty)
-            chol = _cholesky_checked(a, config.penalty)
-            noise = np.linalg.solve(chol.T, rng.standard_normal(mean.shape))
-            outs[m] = (mean + math.sqrt(sigma2) * noise).T
-        sse, bnorm2 = _objective_parts(x1, y1, ins, outs)
-        shape = 0.5 * (y1.size + (dim_eff if config.penalty > 0 else 0))
+            a, rhs = _output_system(data, ins, outs, m, config.penalty)
+            outs[m] = _draw(a, rhs, config.penalty, math.sqrt(sigma2), rng).T
+        sse, bnorm2 = _objective_parts(data, ins, outs)
+        shape = 0.5 * (y.size + (dim_eff if config.penalty > 0 else 0))
         rate = 0.5 * (sse + config.penalty * bnorm2)
         sigma2 = max(rate / rng.gamma(shape), 1e-300)
         # consume predictive noise every iteration so a thinned run

@@ -182,6 +182,32 @@ class TestBuildCollection:
             np.testing.assert_allclose(frame.angles, level, atol=1e-6)
 
 
+class TestConvergenceReport:
+    """A build says how many of its fits hit the sweep cap."""
+
+    def test_capped_fits_are_reported_once(self, caplog):
+        cfg = _config(
+            regression=RegressionConfig(
+                rank=3, penalty=0.1, max_sweeps=2, tolerance=1e-15, seed=0
+            )
+        )
+        with caplog.at_level(logging.WARNING, logger="tensormotion.predictor"):
+            build_collection(_reference_cycle(), cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "8 of 8 fits stopped at max_sweeps=2 without converging"
+        ]
+
+    def test_converged_build_is_silent(self, caplog):
+        cfg = _config(
+            regression=RegressionConfig(
+                rank=1, penalty=0.1, max_sweeps=200, seed=0
+            )
+        )
+        with caplog.at_level(logging.WARNING, logger="tensormotion.predictor"):
+            build_collection(_reference_cycle(), cfg)
+        assert caplog.records == []
+
+
 class TestSelectCoefficient:
     """Phase lookup against the extended reference."""
 
@@ -369,6 +395,32 @@ class TestRunOnline:
         assert all(
             g == 0 for end, g in gaps.items() if end != 42
         )
+
+    def test_duplicate_and_backwards_stamps_are_dropped(
+        self, stream_setup, caplog
+    ):
+        ref, cfg, coll, sk, cart = stream_setup
+        frames = np.concatenate([cart.frames] * 5)  # 675 frames
+        dt = 1.0 / cfg.frame_rate
+        times = np.arange(len(frames)) * dt
+        times[400] = times[399]  # duplicate stamp
+        times[500] = times[498]  # backwards stamp
+        with caplog.at_level(logging.WARNING, logger="tensormotion.predictor"):
+            batches = list(run_online(zip(times, frames), ref, coll, sk))
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert all("not later than" in m for m in messages)
+        assert sum(b.gap_frames for b in batches) == 0
+        # the dropped frames never reach a window, and the frames after
+        # them take their stream indices
+        kept = np.delete(frames, [400, 500], axis=0)
+        clean = list(run_online(iter(kept), ref, coll, sk))
+        assert len(batches) == len(clean)
+        for a, b in zip(batches, clean):
+            assert a.last_observed_frame == b.last_observed_frame
+            assert a.model_index == b.model_index
+            for fa, fb in zip(a.frames, b.frames):
+                np.testing.assert_array_equal(fa.coordinates, fb.coordinates)
 
     def test_bad_frame_shape_rejected(self, stream_setup):
         ref, cfg, coll, sk, _ = stream_setup

@@ -14,6 +14,7 @@ from tensormotion.regression import (
     FitResult,
     RegressionConfig,
     SingularSystemError,
+    _solve_checked,
     fit,
     gibbs_sample,
     objective,
@@ -118,14 +119,18 @@ class TestObjectiveTrace:
             assert np.all(drops <= 1e-10 * np.maximum(trace[:-1], 1.0))
 
     def test_final_value_matches_objective_function(self):
-        rng = np.random.default_rng(24)
-        x, y, _ = _random_problem(rng, 25, (3, 2), (2,), rank=2)
-        config = RegressionConfig(rank=2, penalty=3.0, max_sweeps=30, seed=4)
-        result = fit(x, y, config)
-        recomputed = objective(x, y, result.factors, 3.0)
-        np.testing.assert_allclose(
-            recomputed, result.objective_trace[-1], rtol=1e-9
-        )
+        """The trace of the compressed solver adds back the residual
+        outside the column space of the inputs, for N above, at and
+        below the input size P = 6."""
+        for n_obs in (25, 6, 4):
+            rng = np.random.default_rng(24)
+            x, y, _ = _random_problem(rng, n_obs, (3, 2), (2,), rank=2)
+            config = RegressionConfig(rank=2, penalty=3.0, max_sweeps=30, seed=4)
+            result = fit(x, y, config)
+            recomputed = objective(x, y, result.factors, 3.0)
+            np.testing.assert_allclose(
+                recomputed, result.objective_trace[-1], rtol=1e-10
+            )
 
     def test_objective_composes_from_primitives(self):
         rng = np.random.default_rng(25)
@@ -138,6 +143,95 @@ class TestObjectiveTrace:
         )
         expected = (resid**2).sum() + penalty * frobenius_norm(dense) ** 2
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def _factor_system(x, y, ins, outs, k, penalty):
+    """Uncompressed normal equations in the entries of factor ``k`` of
+    ``ins + outs``, built column by column from unit factors.
+
+    The prediction and the coefficient are linear in each factor, so
+    unknown ``j = r * rows + p`` (entry ``[p, r]``) has the predictions
+    and the coefficient of the unit factor as its design columns.
+    """
+    factors = list(ins) + list(outs)
+    n_in = len(ins)
+    rows, rank = factors[k].shape
+    n = x.shape[0]
+    x1 = x.reshape(n, -1, order="F")
+    design, coeff = [], []
+    for r in range(rank):
+        for p in range(rows):
+            unit = np.zeros((rows, rank))
+            unit[p, r] = 1.0
+            trial = factors.copy()
+            trial[k] = unit
+            b = cp_reconstruct(CpFactors(tuple(trial[:n_in]), tuple(trial[n_in:])))
+            design.append((x1 @ b.reshape(x1.shape[1], -1, order="F")).ravel())
+            coeff.append(b.ravel())
+    d, c = np.array(design).T, np.array(coeff).T
+    a = d.T @ d + penalty * (c.T @ c)
+    return a, d.T @ y.reshape(n, -1, order="F").ravel()
+
+
+def _dense_sweep(x, y, ins, outs, penalty):
+    """One uncompressed ALS sweep: every factor in turn, inputs first."""
+    ins, outs = list(ins), list(outs)
+    for k in range(len(ins) + len(outs)):
+        a, rhs = _factor_system(x, y, ins, outs, k, penalty)
+        target = ins if k < len(ins) else outs
+        i = k if k < len(ins) else k - len(ins)
+        rank = target[i].shape[1]
+        target[i] = np.linalg.solve(a, rhs).reshape(rank, -1).T
+    return ins, outs
+
+
+class TestCompressedSolver:
+    """Sweeps on the QR-compressed data against the uncompressed problem."""
+
+    @pytest.mark.parametrize(
+        "in_shape", [(4,), (3, 2), (2, 2, 2)], ids=["order1", "order2", "order3"]
+    )
+    def test_one_sweep_matches_uncompressed_sweep(self, in_shape):
+        rng = np.random.default_rng(41)
+        out_shape = (3,) if len(in_shape) == 1 else (2, 2)
+        x, y, _ = _random_problem(rng, 30, in_shape, out_shape, rank=2)
+        start = CpFactors(
+            tuple(rng.standard_normal((p, 3)) for p in in_shape),
+            tuple(rng.standard_normal((q, 3)) for q in out_shape),
+        )
+        config = RegressionConfig(
+            rank=3, penalty=2.0, max_sweeps=1, tolerance=1e-15, seed=0
+        )
+        got = fit(x, y, config, init=start).factors
+        ins, outs = _dense_sweep(
+            x, y, start.input_factors, start.output_factors, 2.0
+        )
+        for a, b in zip(got.input_factors + got.output_factors, ins + outs):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=0)
+
+    def test_residual_variance_is_uncompressed_sse_per_response(self):
+        rng = np.random.default_rng(42)
+        x, y, _ = _random_problem(rng, 40, (3, 2), (2, 2), rank=2, noise=0.5)
+        config = RegressionConfig(rank=2, penalty=1.0, max_sweeps=20, seed=1)
+        result = fit(x, y, config)
+        resid = y - predict(x, result.factors)
+        np.testing.assert_allclose(
+            result.residual_variance, (resid**2).sum() / y.size, rtol=1e-10
+        )
+
+    def test_cholesky_failure_reaches_lstsq_or_raises(self):
+        """A singular semi-definite system: Cholesky and LU both fail, the
+        penalized path takes the minimum-norm solution and the
+        unpenalized one reports the singularity."""
+        a = np.ones((2, 2))
+        b = np.array([1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        u, chol = _solve_checked(a, b, penalty=1.0)
+        assert chol is None
+        np.testing.assert_allclose(u, [0.5, 0.5], rtol=1e-12)
+        with pytest.raises(SingularSystemError):
+            _solve_checked(a, b, penalty=0.0)
 
 
 class TestFitBehavior:
@@ -358,6 +452,44 @@ class TestGibbsSampler:
         np.testing.assert_array_equal(thinned, dense[::2])
         burned = gibbs_sample(x, y, config, x[0], n_samples=6, burn_in=4)
         np.testing.assert_array_equal(burned, dense[4:])
+
+    def test_matches_uncompressed_oracle_chain(self):
+        """Same seed, same draws: the oracle solves each conditional with
+        LU on the uncompressed normal equations, factors it separately
+        and colours the noise with that factor."""
+        rng = np.random.default_rng(43)
+        x, y, _ = _random_problem(rng, 30, (3, 2), (2, 2), rank=2)
+        config = RegressionConfig(rank=2, penalty=1.5, max_sweeps=20, seed=15)
+        x_new = x[:3]
+        got = gibbs_sample(x, y, config, x_new, n_samples=6, burn_in=2)
+
+        point = fit(x, y, config)
+        ins = list(point.factors.input_factors)
+        outs = list(point.factors.output_factors)
+        sigma2 = max(point.residual_variance, 1e-12)
+        chain = np.random.default_rng((config.seed, 1))
+        dim_eff = config.rank * (sum(x.shape[1:]) + sum(y.shape[1:]))
+        expected = []
+        for it in range(2 + 6):
+            for k in range(len(ins) + len(outs)):
+                a, rhs = _factor_system(x, y, ins, outs, k, config.penalty)
+                mean = np.linalg.solve(a, rhs)
+                chol = np.linalg.cholesky(a)
+                noise = np.linalg.solve(chol.T, chain.standard_normal(mean.shape))
+                u = (mean + np.sqrt(sigma2) * noise).reshape(config.rank, -1).T
+                if k < len(ins):
+                    ins[k] = u
+                else:
+                    outs[k - len(ins)] = u
+            factors = CpFactors(tuple(ins), tuple(outs))
+            rate = 0.5 * objective(x, y, factors, config.penalty)
+            shape = 0.5 * (y.size + dim_eff)
+            sigma2 = max(rate / chain.gamma(shape), 1e-300)
+            z = chain.standard_normal((3,) + y.shape[1:])
+            if it >= 2:
+                mean_new = np.tensordot(x_new, cp_reconstruct(factors), axes=2)
+                expected.append(mean_new + np.sqrt(sigma2) * z)
+        np.testing.assert_allclose(got, np.stack(expected), rtol=1e-8)
 
     def test_invalid_arguments(self):
         rng = np.random.default_rng(40)
