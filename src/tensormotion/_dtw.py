@@ -13,6 +13,14 @@ references get a vectorized min-plus row scan. Both compute the cost of
 cell ``(i, j)`` from coordinate differences, so aligning a sequence with
 itself yields an exactly zero diagonal on every path.
 
+A caller that already holds the cost rows can pass them in: the rows of
+``cdist`` are independent, so a row computed for an earlier query that
+shared the frame is bit-identical to the one a cold call would compute.
+The online predictor keeps such rows in a ring across updates and hands
+them over oldest first as a list of row views; the row scan reads any
+sequence of rows and runs its ufuncs in place on two scratch rows, so
+the rows are never copied into one matrix.
+
 Backend selection: the ``TENSORMOTION_BACKEND`` environment variable
 (``auto``, ``numba`` or ``numpy``, read at import) picks the default;
 :func:`use_backend` switches at runtime.
@@ -47,11 +55,12 @@ _SCALAR_MAX_WIDTH = 32
 
 
 def _accumulate_numpy(
-    query: np.ndarray, reference: np.ndarray, open_begin: bool
+    query: np.ndarray, reference: np.ndarray, open_begin: bool, cost=None
 ) -> np.ndarray:
-    cost = cdist(query, reference)
-    if cost.shape[1] <= _SCALAR_MAX_WIDTH:
-        return _scalar_recurrence(cost.tolist(), open_begin)
+    if cost is None:
+        cost = cdist(query, reference)
+    if reference.shape[0] <= _SCALAR_MAX_WIDTH:
+        return _scalar_recurrence(np.asarray(cost).tolist(), open_begin)
     return _row_scan(cost, open_begin)
 
 
@@ -74,23 +83,29 @@ def _scalar_recurrence(cost: list, open_begin: bool) -> np.ndarray:
     return np.array(flat).reshape(len(cost), len(prev))
 
 
-def _row_scan(cost: np.ndarray, open_begin: bool) -> np.ndarray:
-    n_q, n_r = cost.shape
-    acc = np.empty_like(cost)
-    acc[0] = cost[0] if open_begin else np.cumsum(cost[0])
-    for i in range(1, n_q):
-        row = cost[i]
-        prev = acc[i - 1]
+def _row_scan(cost, open_begin: bool) -> np.ndarray:
+    # ``cost`` is any sequence of equal-length 1-D rows
+    rows = iter(cost)
+    first = next(rows)
+    n_r = len(first)
+    acc = np.empty((len(cost), n_r))
+    if open_begin:
+        acc[0] = first
+    else:
+        np.cumsum(first, out=acc[0])
+    enter = np.empty(n_r)
+    s = np.empty(n_r)
+    for prev, out, row in zip(acc, acc[1:], rows):
         # entering column k from the previous row costs enter[k]; any
         # further steps continue rightward along this row, so
         # acc[i, j] = min_{k<=j} enter[k] + (s[j] - s[k]) with s=cumsum
-        enter = np.empty(n_r)
         enter[0] = prev[0]
-        if n_r > 1:
-            np.minimum(prev[1:], prev[:-1], out=enter[1:])
+        np.minimum(prev[1:], prev[:-1], out=enter[1:])
         enter += row
-        s = np.cumsum(row)
-        acc[i] = s + np.minimum.accumulate(enter - s)
+        np.cumsum(row, out=s)
+        enter -= s
+        np.minimum.accumulate(enter, out=out)
+        out += s
     return acc
 
 
@@ -176,7 +191,10 @@ def use_backend(name: str) -> str:
 
 
 def accumulated_cost(
-    query: np.ndarray, reference: np.ndarray, open_begin: bool = False
+    query: np.ndarray,
+    reference: np.ndarray,
+    open_begin: bool = False,
+    cost=None,
 ) -> np.ndarray:
     """Accumulated-cost matrix of the warping recurrence.
 
@@ -185,6 +203,14 @@ def accumulated_cost(
     forward in the query, the reference, or both, with unit weights.
     With ``open_begin`` the query may start anywhere in the reference:
     the first row carries no accumulated prefix.
+
+    ``cost``, if given, holds those distances already: a
+    ``(query frames, reference frames)`` array or a sequence of that many
+    rows, such as views into a ring of rows kept across calls. The numpy
+    backend then skips computing them; rows that ``cdist`` computed for
+    the same frame pair are bit-identical, so the result is too. The
+    fused numba kernel ignores ``cost``. The full matrix is returned
+    either way.
     """
     query = np.asarray(query, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -196,9 +222,17 @@ def accumulated_cost(
         )
     if query.shape[0] < 1 or reference.shape[0] < 1:
         raise ValueError("query and reference must be non-empty")
+    if cost is not None and (
+        len(cost) != query.shape[0]
+        or any(np.shape(row) != reference.shape[:1] for row in cost)
+    ):
+        raise ValueError(
+            f"cost must hold {query.shape[0]} rows of {reference.shape[0]} "
+            "reference frames"
+        )
     if _active == "numba":
         return _accumulate_numba(query, reference, bool(open_begin))
-    return _accumulate_numpy(query, reference, bool(open_begin))
+    return _accumulate_numpy(query, reference, bool(open_begin), cost)
 
 
 def warmup() -> None:

@@ -123,12 +123,16 @@ def dtw(
     )
 
 
-def locate_in_reference(window: MotionSequence, reference: MotionSequence) -> int:
+def locate_in_reference(
+    window: MotionSequence, reference: MotionSequence, cost=None
+) -> int:
     """Reference frame index where an observed window currently ends.
 
     Both sequences must share space and joint layout; the window may not
     be longer than the reference. Runs a both-ends-open alignment and
     returns the reference index matched to the window's final frame.
+    ``cost``, if given, holds the window-to-reference frame distances
+    already and is passed on to :func:`accumulated_cost`.
     """
     if window.space != reference.space:
         raise ValueError(
@@ -144,5 +148,5 @@ def locate_in_reference(window: MotionSequence, reference: MotionSequence) -> in
         )
     q = window.frames.reshape(window.n_frames, -1)
     r = reference.frames.reshape(reference.n_frames, -1)
-    acc = accumulated_cost(q, r, open_begin=True)
+    acc = accumulated_cost(q, r, open_begin=True, cost=cost)
     return int(np.argmin(acc[-1]))

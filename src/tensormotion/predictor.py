@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from tensormotion.alignment import locate_in_reference
 from tensormotion.cycles import ReferenceCycle, extend_reference
@@ -219,16 +220,19 @@ def select_coefficient(
     window: MotionSequence,
     extended_reference: MotionSequence,
     collection: CoefficientCollection,
+    cost=None,
 ) -> tuple[int, CpFactors]:
     """Pick the model whose anchor is nearest the window's current phase.
 
     The window is located in the extended reference by open-ended
     warping. A match inside the duplicated head (before the first
     anchor) is mapped one cycle forward before the nearest-anchor
-    lookup; ties between anchors go to the earlier one.
+    lookup; ties between anchors go to the earlier one. ``cost``, if
+    given, holds the window-to-reference frame distances already (see
+    :func:`~tensormotion.alignment.accumulated_cost`).
     """
     past = collection.config.past_frames
-    matched = locate_in_reference(window, extended_reference)
+    matched = locate_in_reference(window, extended_reference, cost=cost)
     cycle_len = extended_reference.n_frames - past
     anchors = collection.time_indices
     if matched < anchors[0] and cycle_len > 0:
@@ -301,6 +305,21 @@ def predict_window(
     ]
 
 
+def _write_cost_rows(
+    ring: np.ndarray, end: int, new: np.ndarray, reference: np.ndarray
+) -> None:
+    """Store the cost rows of stream frames ``end - len(new) .. end - 1``.
+
+    Frame ``f`` owns ring slot ``f % len(ring)``; a write that runs past
+    the last slot continues at the first.
+    """
+    start = (end - len(new)) % len(ring)
+    head = min(len(new), len(ring) - start)
+    cdist(new[:head], reference, out=ring[start : start + head])
+    if head < len(new):
+        cdist(new[head:], reference, out=ring[: len(new) - head])
+
+
 def run_online(
     stream,
     reference: ReferenceCycle,
@@ -318,25 +337,42 @@ def run_online(
     the last accepted one (a duplicate or backwards stamp) is logged
     and dropped: it does not enter the window or advance the stream
     index, and as it did arrive, it does not count as a missing frame
-    when the next forward step is checked for a gap.
+    when the next forward step is checked for a gap. A frame with a
+    non-finite coordinate (an occluded marker) is logged and dropped
+    too, and it does not advance the stream index either; it counts as
+    one frame in the next batch's ``gap_frames``, with or without
+    timestamps, and its stamp is the one the next step is measured
+    from.
 
     The first batch appears once ``past_frames`` frames are buffered;
     later batches follow every ``update_stride_frames`` frames. Feeding
     the same frames offline through :func:`select_coefficient` and
     :func:`predict_window` at the same stream positions reproduces the
     batches exactly.
+
+    The phase lookup keeps a ring of ``past_frames`` cost rows, one per
+    frame in the window, each holding the distances from that frame's
+    angles to every frame of the extended reference. An update computes
+    only the rows of the frames that arrived since the previous one and
+    hands the ring to the warping oldest row first. This is exact: the
+    angle transform treats each frame on its own and each cost row
+    depends on its frame alone, so a kept row is bit for bit the row a
+    cold lookup on the same window computes.
     """
     cfg = collection.config
     past = cfg.past_frames
     ext = extend_reference(reference, past)
+    ext_flat = ext.frames.reshape(ext.n_frames, -1)
+    ring = np.empty((past, ext.n_frames))
     joint_count = len(skeleton.joints)
     expected_dt = 1.0 / cfg.frame_rate
 
     buffer: list[np.ndarray] = []
     count = 0
+    scored = 0  # frames accepted up to the previous batch
     prev_time = None
     pending_gap = 0
-    dropped = 0  # frames rejected since the last accepted one
+    dropped = 0  # frames rejected for their stamps since the last accepted one
     for item in stream:
         if isinstance(item, tuple) and len(item) == 2:
             stamp_time, frame = item
@@ -372,6 +408,13 @@ def run_online(
                     )
         dropped = 0
         prev_time = stamp_time
+        if not np.isfinite(frame).all():
+            log.warning(
+                "dropped a frame before frame %d: non-finite coordinates",
+                count,
+            )
+            pending_gap += 1
+            continue
         buffer.append(frame)
         if len(buffer) > past:
             buffer.pop(0)
@@ -384,7 +427,13 @@ def run_online(
                 joint_names=skeleton.joints,
             )
             window, _ = to_joint_angles(cart, skeleton)
-            idx, factors = select_coefficient(window, ext, collection)
+            fresh = min(count - scored, past)
+            _write_cost_rows(
+                ring, count, window.frames[-fresh:].reshape(fresh, -1), ext_flat
+            )
+            oldest = count % past
+            rows = [*ring[oldest:], *ring[:oldest]]
+            idx, factors = select_coefficient(window, ext, collection, cost=rows)
             frames = predict_window(
                 window, factors, skeleton, cfg, model_index=idx,
                 root_policy=root_policy,
@@ -396,6 +445,7 @@ def run_online(
                 gap_frames=pending_gap,
             )
             pending_gap = 0
+            scored = count
 
 
 FORMAT_VERSION = 1

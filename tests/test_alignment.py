@@ -5,8 +5,10 @@ The dynamic program is checked against exhaustive path enumeration
 accelerated backend is cross-checked against the plain one on larger
 inputs. The numpy backend's two dynamic programs (scalar recurrence for
 narrow references, row scan for wide ones) are checked on both sides of
-their size switch. Tie-break rules (earliest match column,
-diagonal-first backtracking) are pinned with literals.
+their size switch, also when the caller hands in the cost rows, as an
+array or as a rotated list of rows like the online predictor's ring.
+Tie-break rules (earliest match column, diagonal-first backtracking)
+are pinned with literals.
 """
 
 import os
@@ -15,6 +17,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from helpers import brute_distance, valid_warp_path
 from tensormotion import _dtw
@@ -192,6 +195,31 @@ class TestNumpySizeSwitch:
         scalar = accumulated_cost(q, r, open_begin=open_begin)
         np.testing.assert_allclose(scalar, scanned, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("form", ["array", "rows"])
+    @pytest.mark.parametrize("open_begin", [False, True])
+    @pytest.mark.parametrize("n_r", WIDTHS)
+    def test_given_cost_matches_cold_call(self, n_r, open_begin, form):
+        rng = np.random.default_rng(81)
+        scale = 10.0 ** rng.uniform(-3, 3, 27)
+        q = rng.standard_normal((9, 27)) * scale
+        r = rng.standard_normal((n_r, 27)) * scale
+        cost = cdist(q, r)
+        if form == "rows":
+            # oldest row first out of a ring whose oldest slot is 4
+            ring = np.roll(cost, 4, axis=0)
+            cost = [*ring[4:], *ring[:4]]
+        cold = accumulated_cost(q, r, open_begin=open_begin)
+        given = accumulated_cost(q, r, open_begin=open_begin, cost=cost)
+        np.testing.assert_array_equal(given, cold)
+
+    @pytest.mark.parametrize("n_r", WIDTHS)
+    def test_given_cost_is_used(self, n_r):
+        q = np.ones((3, 2))
+        r = np.zeros((n_r, 2))
+        acc = accumulated_cost(q, r, open_begin=True, cost=np.zeros((3, n_r)))
+        assert acc.shape == (3, n_r)
+        assert np.all(acc == 0.0)
+
 
 class TestDtwValidation:
     """Input checking."""
@@ -209,6 +237,22 @@ class TestDtwValidation:
         q[1, 0] = np.inf
         with pytest.raises(ValueError):
             dtw(q, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            np.zeros((2, 5)),
+            np.zeros((4, 5)),
+            np.zeros((3, 4)),
+            np.zeros((3, 5, 1)),
+            np.zeros(3),
+            [np.zeros(5), np.zeros(4), np.zeros(5)],
+        ],
+        ids=["rows-short", "rows-long", "cols-short", "3-d", "1-d", "ragged"],
+    )
+    def test_cost_of_wrong_shape_rejected(self, cost):
+        with pytest.raises(ValueError, match="cost"):
+            accumulated_cost(np.zeros((3, 2)), np.zeros((5, 2)), cost=cost)
 
 
 class TestBackendSelection:

@@ -5,14 +5,21 @@ stage: model placement along the extended reference, phase-based model
 selection (including the wrap-around remap), window prediction with
 clamping and root policies, the streaming loop, and persistence. The
 streaming loop is required to reproduce offline recomputation exactly,
-so those comparisons are bitwise.
+so those comparisons are bitwise. The loop's handling of an occluded
+marker is checked on the benchmark's own generated capture, where it
+was first seen to end the stream.
 """
 
 import logging
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensormotion.alignment
+import tensormotion.predictor
 from tensormotion.cycles import build_reference, extend_reference
 from tensormotion.kinematics import (
     SPACE_CARTESIAN,
@@ -359,27 +366,56 @@ class TestRunOnline:
         assert all(b.gap_frames == 0 for b in batches)
 
     def test_matches_offline_recomputation_exactly(self, stream_setup):
+        ref, _, coll, sk, cart = stream_setup
+        # the 15-frame window takes 3-frame writes whole; 4-frame writes
+        # wrap around the end of the cost-row ring
+        for stride in (3, 4):
+            cfg = replace(coll.config, update_stride_frames=stride)
+            strided = CoefficientCollection(config=cfg, entries=coll.entries)
+            for dropped_stamps in (False, True):
+                _assert_matches_offline(
+                    ref, strided, sk, cart.frames, dropped_stamps
+                )
+
+    def test_each_batch_runs_the_traced_call_chain_once(
+        self, stream_setup, monkeypatch
+    ):
+        """Profilers wrap these module attributes; every update must go
+        through each of them exactly once. The matrix the kept cost rows
+        give equals a cold call's, bit for bit."""
         ref, cfg, coll, sk, cart = stream_setup
-        batches = list(run_online(iter(cart.frames), ref, coll, sk))
-        ext = extend_reference(ref, cfg.past_frames)
-        angles, _ = to_joint_angles(cart, sk)
-        for batch in batches[:: max(1, len(batches) // 8)]:
-            end = batch.last_observed_frame
-            window = MotionSequence(
-                frames=angles.frames[end - 14 : end + 1],
-                frame_rate=cfg.frame_rate,
-                space=SPACE_JOINT_ANGLE,
-                joint_names=("mid", "tip"),
-                root_track=angles.root_track[end - 14 : end + 1],
-            )
-            idx, factors = select_coefficient(window, ext, coll)
-            assert idx == batch.model_index
-            offline = predict_window(
-                window, factors, sk, cfg, model_index=idx
-            )
-            for a, b in zip(offline, batch.frames):
-                np.testing.assert_array_equal(a.angles, b.angles)
-                np.testing.assert_array_equal(a.coordinates, b.coordinates)
+        calls = {}
+        results = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                result = original(*args, **kwargs)
+                if name == "accumulated_cost":
+                    kwargs.pop("cost")
+                    results.append((result, original(*args, **kwargs)))
+                return result
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(tensormotion.predictor, "select_coefficient")
+        count(tensormotion.predictor, "locate_in_reference")
+        count(tensormotion.alignment, "accumulated_cost")
+        n = 0
+        for n, _ in enumerate(run_online(iter(cart.frames), ref, coll, sk), 1):
+            assert calls == {
+                "select_coefficient": n,
+                "locate_in_reference": n,
+                "accumulated_cost": n,
+            }
+        assert n == (cart.n_frames - 15) // cfg.update_stride_frames + 1
+        ext_frames = ref.length_frames + cfg.past_frames
+        for acc, cold in results:
+            assert isinstance(acc, np.ndarray)
+            assert acc.shape == (cfg.past_frames, ext_frames)
+            np.testing.assert_array_equal(acc, cold)
 
     def test_timestamped_stream_reports_gaps(self, stream_setup, caplog):
         ref, cfg, coll, sk, cart = stream_setup
@@ -415,17 +451,137 @@ class TestRunOnline:
         # them take their stream indices
         kept = np.delete(frames, [400, 500], axis=0)
         clean = list(run_online(iter(kept), ref, coll, sk))
-        assert len(batches) == len(clean)
-        for a, b in zip(batches, clean):
-            assert a.last_observed_frame == b.last_observed_frame
-            assert a.model_index == b.model_index
-            for fa, fb in zip(a.frames, b.frames):
-                np.testing.assert_array_equal(fa.coordinates, fb.coordinates)
+        _assert_same_predictions(batches, clean)
 
     def test_bad_frame_shape_rejected(self, stream_setup):
         ref, cfg, coll, sk, _ = stream_setup
         with pytest.raises(ValueError, match="shape"):
             list(run_online(iter([np.zeros((2, 3))]), ref, coll, sk))
+
+
+def _assert_matches_offline(ref, coll, sk, frames, dropped_stamps):
+    """Every batch equals the offline recomputation at its position;
+    with ``dropped_stamps`` a duplicate and a backwards stamp are
+    dropped from the stream first."""
+    cfg = coll.config
+    if dropped_stamps:
+        times = np.arange(len(frames)) / cfg.frame_rate
+        times[50] = times[49]  # duplicate stamp
+        times[77] = times[70]  # backwards stamp
+        stream = zip(times, frames)
+        frames = np.delete(frames, [50, 77], axis=0)
+    else:
+        stream = iter(frames)
+    batches = list(run_online(stream, ref, coll, sk))
+    stride = cfg.update_stride_frames
+    assert len(batches) == (len(frames) - 15) // stride + 1
+    ext = extend_reference(ref, cfg.past_frames)
+    kept = MotionSequence(
+        frames=frames,
+        frame_rate=cfg.frame_rate,
+        space=SPACE_CARTESIAN,
+        joint_names=sk.joints,
+    )
+    angles, _ = to_joint_angles(kept, sk)
+    for batch in batches:
+        end = batch.last_observed_frame
+        window = MotionSequence(
+            frames=angles.frames[end - 14 : end + 1],
+            frame_rate=cfg.frame_rate,
+            space=SPACE_JOINT_ANGLE,
+            joint_names=("mid", "tip"),
+            root_track=angles.root_track[end - 14 : end + 1],
+        )
+        idx, factors = select_coefficient(window, ext, coll)
+        assert idx == batch.model_index
+        offline = predict_window(window, factors, sk, cfg, model_index=idx)
+        for a, b in zip(offline, batch.frames):
+            np.testing.assert_array_equal(a.angles, b.angles)
+            np.testing.assert_array_equal(a.coordinates, b.coordinates)
+
+
+def _assert_same_predictions(batches, expected):
+    """Equal batches bit for bit, apart from ``gap_frames``."""
+    assert len(batches) == len(expected)
+    for a, b in zip(batches, expected):
+        assert a.last_observed_frame == b.last_observed_frame
+        assert a.model_index == b.model_index
+        for fa, fb in zip(a.frames, b.frames):
+            np.testing.assert_array_equal(fa.angles, fb.angles)
+            np.testing.assert_array_equal(fa.coordinates, fb.coordinates)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def capture_stream():
+    """The benchmark's ``build`` workload, seed 1: five 480-frame training
+    cycles at 60 Hz give the reference and a 3-sweep bank; the six
+    held-out cycles after them are the stream."""
+    sys.path.insert(0, str(PERFBENCH))
+    import inputs
+
+    capture = inputs.generate(1, 11, 480)
+    joints, parents, lengths = inputs.skeleton_spec()
+    sk = Skeleton(joints, parents, lengths)
+    cut = capture.ranges[5][0]
+    train = MotionSequence(
+        frames=capture.frames[:cut],
+        frame_rate=60.0,
+        space=SPACE_CARTESIAN,
+        joint_names=joints,
+    )
+    angles, _ = to_joint_angles(train, sk)
+    cycles = [
+        MotionSequence(
+            frames=angles.frames[a:b],
+            frame_rate=60.0,
+            space=SPACE_JOINT_ANGLE,
+            joint_names=angles.joint_names,
+            root_track=angles.root_track[a:b],
+        )
+        for a, b in capture.ranges[:5]
+    ]
+    ref = build_reference(cycles, target_frames=480)
+    cfg = PipelineConfig(
+        past_seconds=4.0,
+        future_seconds=1.0,
+        frame_rate=60.0,
+        model_stride_frames=60,
+        update_stride_frames=60,
+        regression=RegressionConfig(rank=13, penalty=50.0, max_sweeps=3, seed=0),
+    )
+    return ref, build_collection(ref, cfg), sk, capture.frames[cut:]
+
+
+class TestNonFiniteFrames:
+    """An occluded marker costs one frame, not the rest of the stream."""
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_nan_frame_is_dropped_and_counted_once(
+        self, capture_stream, caplog, timed
+    ):
+        ref, coll, sk, held = capture_stream
+        broken = held.copy()
+        broken[300, 4, 1] = np.nan
+        stream = iter(broken)
+        if timed:
+            stream = zip(np.arange(len(broken)) / 60.0, broken)
+        with caplog.at_level(logging.WARNING, logger="tensormotion.predictor"):
+            batches = list(run_online(stream, ref, coll, sk))
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert "non-finite" in messages[0]
+        clean = list(run_online(iter(np.delete(held, 300, axis=0)), ref, coll, sk))
+        # the stream reaches its end
+        assert len(batches) == (len(held) - 1 - 240) // 60 + 1
+        _assert_same_predictions(batches, clean)
+        # frames 0-299 arrive before it; the batch after it ends at 359
+        assert [b.gap_frames for b in batches] == [
+            int(b.last_observed_frame == 359) for b in batches
+        ]
+        assert all(b.gap_frames == 0 for b in clean)
 
 
 class TestPersistence:
