@@ -18,8 +18,6 @@ import numpy as np
 from tensormotion._dtw import (  # noqa: F401  (re-exported for convenience)
     accumulated_cost,
     active_backend,
-    available_backends,
-    use_backend,
     warmup,
 )
 from tensormotion.kinematics import MotionSequence
@@ -28,10 +26,8 @@ __all__ = [
     "WarpResult",
     "accumulated_cost",
     "active_backend",
-    "available_backends",
     "dtw",
     "locate_in_reference",
-    "use_backend",
     "warmup",
 ]
 

@@ -34,6 +34,7 @@ from tensormotion.cycles import (
 )
 from tensormotion.evaluation import (
     SUMMARY_FIELDS,
+    SeeSeries,
     evaluate_predictions,
     hold_pose_predictions,
     pick_latest,
@@ -479,15 +480,7 @@ def _cmd_report(args) -> int:
             ("prediction", f"see_{i}_values"),
             ("baseline", f"baseline_{i}_values"),
         ):
-            values = pred[key]
-            stats = {
-                "min": values.min(),
-                "q1": np.quantile(values, 0.25),
-                "median": np.quantile(values, 0.5),
-                "mean": values.mean(),
-                "q3": np.quantile(values, 0.75),
-                "max": np.quantile(values, 1.0),
-            }
+            stats = SeeSeries(pred[key]).summary()
             lines.append(
                 f"{horizon:g},{series_name},"
                 + ",".join(f"{stats[f]:.4f}" for f in SUMMARY_FIELDS)

@@ -339,13 +339,7 @@ def fit(
         if prev - cur <= config.tolerance * max(prev, np.finfo(float).tiny):
             converged = True
             break
-    # row-major, as a reloaded collection's factors are: the solves
-    # leave a mix of layouts, on which cp_reconstruct's Khatri-Rao
-    # products run slower
-    factors = CpFactors(
-        tuple(map(np.ascontiguousarray, ins)),
-        tuple(map(np.ascontiguousarray, outs)),
-    )
+    factors = CpFactors(tuple(ins), tuple(outs))
     return FitResult(
         factors=factors,
         objective_trace=np.asarray(trace),

@@ -79,15 +79,22 @@ class CpFactors:
     ``input_factors[l]`` has shape ``(P_l, R)`` and ``output_factors[m]``
     has shape ``(Q_m, R)``; all matrices share the column count ``R``.
     The represented tensor is the sum over ``r`` of the outer product of
-    the ``r``-th columns, with shape ``(*P, *Q)``.
+    the ``r``-th columns, with shape ``(*P, *Q)``. The matrices are
+    stored row-major whatever layout they arrive in: the products in
+    :func:`cp_reconstruct` round by memory order, so equal factors then
+    give bit-identical tensors.
     """
 
     input_factors: tuple[np.ndarray, ...]
     output_factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ins = tuple(np.asarray(f, dtype=float) for f in self.input_factors)
-        outs = tuple(np.asarray(f, dtype=float) for f in self.output_factors)
+        ins = tuple(
+            np.ascontiguousarray(f, dtype=float) for f in self.input_factors
+        )
+        outs = tuple(
+            np.ascontiguousarray(f, dtype=float) for f in self.output_factors
+        )
         object.__setattr__(self, "input_factors", ins)
         object.__setattr__(self, "output_factors", outs)
         all_f = ins + outs

@@ -1,19 +1,14 @@
 """Warping-distance tests.
 
 The dynamic program is checked against exhaustive path enumeration
-(helpers.brute_distance) across endpoint-flag combinations, and the
-accelerated backend is cross-checked against the plain one on larger
-inputs. The numpy backend's two dynamic programs (scalar recurrence for
-narrow references, row scan for wide ones) are checked on both sides of
-their size switch, also when the caller hands in the cost rows, as an
-array or as a rotated list of rows like the online predictor's ring.
-Tie-break rules (earliest match column, diagonal-first backtracking)
-are pinned with literals.
+(helpers.brute_distance) across endpoint-flag combinations. Its two
+forms (scalar recurrence for narrow references, row scan for wide ones)
+are checked on both sides of their size switch, also when the caller
+hands in the cost rows, as an array or as a rotated list of rows like
+the online predictor's ring, and against each other on inputs of the
+online lookup's channel count. Tie-break rules (earliest match column,
+diagonal-first backtracking) are pinned with literals.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,41 +18,18 @@ from helpers import brute_distance, valid_warp_path
 from tensormotion import _dtw
 from tensormotion.alignment import (
     accumulated_cost,
-    active_backend,
-    available_backends,
     dtw,
     locate_in_reference,
-    use_backend,
     warmup,
 )
 from tensormotion.cycles import build_reference, extend_reference
 from tensormotion.kinematics import SPACE_JOINT_ANGLE, MotionSequence
 
 
-def _restore_backend(previous):
-    use_backend(previous)
-
-
-@pytest.fixture
-def each_backend(request):
-    """Run the decorated test once per available backend."""
-    previous = active_backend()
-    use_backend(request.param)
-    yield request.param
-    _restore_backend(previous)
-
-
-def _param_backends(metafunc_marker=None):
-    return pytest.mark.parametrize(
-        "each_backend", available_backends(), indirect=True
-    )
-
-
 class TestDtwDistance:
     """Distance values against the exhaustive oracle."""
 
-    @_param_backends()
-    def test_identity_is_exactly_zero(self, each_backend):
+    def test_identity_is_exactly_zero(self):
         rng = np.random.default_rng(70)
         s = rng.standard_normal((40, 3))
         result = dtw(s, s)
@@ -66,21 +38,18 @@ class TestDtwDistance:
             result.path, np.column_stack([np.arange(40), np.arange(40)])
         )
 
-    @_param_backends()
-    def test_single_frames(self, each_backend):
+    def test_single_frames(self):
         result = dtw(np.array([1.5]), np.array([-0.5]))
         assert result.distance == pytest.approx(2.0)
         assert result.matched_end == 0
 
-    @_param_backends()
-    def test_three_vs_two_frozen(self, each_backend):
+    def test_three_vs_two_frozen(self):
         """Costs [[0,2],[1,1],[2,0]]: cheapest path hugs the first column."""
         result = dtw(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0]))
         assert result.distance == pytest.approx(1.0)
         assert [tuple(p) for p in result.path] == [(0, 0), (1, 0), (2, 1)]
 
-    @_param_backends()
-    def test_matches_brute_force_all_flags(self, each_backend):
+    def test_matches_brute_force_all_flags(self):
         rng = np.random.default_rng(71)
         for trial in range(60):
             n_q = int(rng.integers(1, 6))
@@ -98,8 +67,7 @@ class TestDtwDistance:
                 trial, n_q, n_r, open_begin, open_end
             )
 
-    @_param_backends()
-    def test_path_cost_equals_distance(self, each_backend):
+    def test_path_cost_equals_distance(self):
         rng = np.random.default_rng(72)
         for _ in range(20):
             q = rng.standard_normal((int(rng.integers(2, 12)), 2))
@@ -114,41 +82,16 @@ class TestDtwDistance:
             )
             assert cost == pytest.approx(result.distance, abs=1e-9)
 
-    @_param_backends()
-    def test_open_end_tie_prefers_earliest_column(self, each_backend):
+    def test_open_end_tie_prefers_earliest_column(self):
         result = dtw(np.array([0.0]), np.array([0.0, 0.0, 1.0]), open_end=True)
         assert result.distance == 0.0
         assert result.matched_end == 0
-
-    def test_backends_agree_on_large_inputs(self):
-        if len(available_backends()) < 2:
-            pytest.skip("only one backend available")
-        rng = np.random.default_rng(73)
-        q = rng.standard_normal((50, 27))
-        r = rng.standard_normal((260, 27))
-        results = {}
-        previous = active_backend()
-        try:
-            for name in available_backends():
-                use_backend(name)
-                results[name] = dtw(q, r, open_end=True, open_begin=True)
-        finally:
-            use_backend(previous)
-        a, b = results.values()
-        assert a.distance == pytest.approx(b.distance, rel=1e-12)
-        assert a.matched_end == b.matched_end
 
 
 class TestNumpySizeSwitch:
     """Both numpy dynamic programs, just below and just above the switch."""
 
     WIDTHS = (_dtw._SCALAR_MAX_WIDTH, _dtw._SCALAR_MAX_WIDTH + 1)
-
-    @pytest.fixture(autouse=True)
-    def numpy_backend(self):
-        previous = use_backend("numpy")
-        yield
-        use_backend(previous)
 
     @pytest.mark.parametrize("open_begin", [False, True])
     @pytest.mark.parametrize("n_r", WIDTHS)
@@ -194,6 +137,18 @@ class TestNumpySizeSwitch:
         monkeypatch.setattr(_dtw, "_SCALAR_MAX_WIDTH", r.shape[0])
         scalar = accumulated_cost(q, r, open_begin=open_begin)
         np.testing.assert_allclose(scalar, scanned, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("open_begin", [False, True])
+    def test_dynamic_programs_agree_on_large_inputs(self, open_begin):
+        """Both forms on one cost matrix of 27-channel frames."""
+        rng = np.random.default_rng(73)
+        cost = cdist(
+            rng.standard_normal((50, 27)), rng.standard_normal((260, 27))
+        )
+        scanned = _dtw._row_scan(cost, open_begin)
+        scalar = _dtw._scalar_recurrence(cost.tolist(), open_begin)
+        np.testing.assert_allclose(scalar, scanned, rtol=1e-12, atol=0)
+        assert np.argmin(scalar[-1]) == np.argmin(scanned[-1])
 
     @pytest.mark.parametrize("form", ["array", "rows"])
     @pytest.mark.parametrize("open_begin", [False, True])
@@ -256,52 +211,10 @@ class TestDtwValidation:
 
 
 class TestBackendSelection:
-    """Runtime and environment backend switching."""
-
-    def test_use_backend_returns_previous(self):
-        previous = active_backend()
-        try:
-            before = use_backend("numpy")
-            assert before == previous
-            assert active_backend() == "numpy"
-        finally:
-            use_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            use_backend("gpu")
-
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
+    """The warm-up call that criteria 4 and 6 make before timing."""
 
     def test_warmup_runs(self):
         warmup()
-
-    def test_env_var_forces_numpy(self):
-        code = (
-            "from tensormotion.alignment import active_backend;"
-            "print(active_backend())"
-        )
-        env = dict(os.environ, TENSORMOTION_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_env_var_bogus_value_fails_loudly(self):
-        code = "import tensormotion.alignment"
-        env = dict(os.environ, TENSORMOTION_BACKEND="gpu")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode != 0
 
 
 class TestLocateInReference:

@@ -15,6 +15,7 @@ import pytest
 
 from tensormotion import __version__
 from tensormotion.cli import PENALTY_PRESET, RANK_PRESET, main
+from tensormotion.evaluation import SUMMARY_FIELDS, SeeSeries
 from tensormotion.io import load_reference, save_reference
 from tensormotion.predictor import load_collection
 
@@ -125,6 +126,9 @@ class TestWorkflow:
         )
         assert lines[0] == SUMMARY_HEADER
         assert len(lines) == 5  # two horizons, prediction and baseline each
+        with np.load(workspace["predictions"], allow_pickle=False) as data:
+            horizons = [f"{h:g}" for h in data["horizons_s"]]
+            stored = {k: data[k] for k in data.files if k.endswith("_values")}
         seen = set()
         for line in lines[1:]:
             horizon, series, *stats = line.split(",")
@@ -132,6 +136,10 @@ class TestWorkflow:
             lo, q1, med, mean, q3, hi = map(float, stats)
             assert lo <= q1 <= med <= q3 <= hi
             assert lo <= mean <= hi
+            prefix = "see" if series == "prediction" else "baseline"
+            key = f"{prefix}_{horizons.index(horizon)}_values"
+            summary = SeeSeries(stored[key]).summary()
+            assert stats == [f"{summary[f]:.4f}" for f in SUMMARY_FIELDS]
         assert seen == {
             ("0.1", "prediction"), ("0.1", "baseline"),
             ("0.25", "prediction"), ("0.25", "baseline"),

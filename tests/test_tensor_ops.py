@@ -10,6 +10,7 @@ layout regression cannot pass silently.
 import numpy as np
 import pytest
 
+from tensormotion.regression import predict
 from tensormotion.tensor_ops import (
     CpFactors,
     contracted_product,
@@ -166,3 +167,21 @@ class TestCpReconstruct:
             np.testing.assert_allclose(
                 cp_reconstruct(f), expected, rtol=1e-10, atol=1e-12
             )
+
+    def test_factor_memory_layout_does_not_change_result(self):
+        """Column-major copies of the factors give the same bits."""
+        rng = np.random.default_rng(15)
+        ins = tuple(rng.standard_normal((n, 13)) for n in (40, 9, 3))
+        outs = tuple(rng.standard_normal((n, 13)) for n in (10, 9, 3))
+        c_order = CpFactors(ins, outs)
+        f_order = CpFactors(
+            tuple(map(np.asfortranarray, ins)),
+            tuple(map(np.asfortranarray, outs)),
+        )
+        np.testing.assert_array_equal(
+            cp_reconstruct(f_order), cp_reconstruct(c_order)
+        )
+        x = rng.standard_normal((5, 40, 9, 3))
+        np.testing.assert_array_equal(
+            predict(x, f_order), predict(x, c_order)
+        )
