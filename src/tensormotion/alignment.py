@@ -129,6 +129,11 @@ def locate_in_reference(
     returns the reference index matched to the window's final frame.
     ``cost``, if given, holds the window-to-reference frame distances
     already and is passed on to :func:`accumulated_cost`.
+
+    Only the last row's argmin is read, so the alignment is pruned
+    (``prune=True``): on references of at least ``_PRUNE_MIN_WIDTH``
+    frames it skips the cells that cannot lie on a path to the best
+    match, and the index is exactly the one the full matrix gives.
     """
     if window.space != reference.space:
         raise ValueError(
@@ -144,5 +149,5 @@ def locate_in_reference(
         )
     q = window.frames.reshape(window.n_frames, -1)
     r = reference.frames.reshape(reference.n_frames, -1)
-    acc = accumulated_cost(q, r, open_begin=True, cost=cost)
+    acc = accumulated_cost(q, r, open_begin=True, cost=cost, prune=True)
     return int(np.argmin(acc[-1]))

@@ -7,7 +7,10 @@ are checked on both sides of their size switch, also when the caller
 hands in the cost rows, as an array or as a rotated list of rows like
 the online predictor's ring, and against each other on inputs of the
 online lookup's channel count. Tie-break rules (earliest match column,
-diagonal-first backtracking) are pinned with literals.
+diagonal-first backtracking) are pinned with literals. The pruned scan
+(``prune=True``) is checked against the full one: the located index on
+random inputs on both sides of its width switch, its worst cases, exact
+and near ties, and the cases where it must change nothing.
 """
 
 import numpy as np
@@ -174,6 +177,127 @@ class TestNumpySizeSwitch:
         acc = accumulated_cost(q, r, open_begin=True, cost=np.zeros((3, n_r)))
         assert acc.shape == (3, n_r)
         assert np.all(acc == 0.0)
+
+
+class TestPrunedScan:
+    """``prune=True`` keeps the last row's argmin and skips cells."""
+
+    WIDTH = _dtw._PRUNE_MIN_WIDTH
+
+    @staticmethod
+    def _pair(q, r, cost=None):
+        pruned = accumulated_cost(q, r, open_begin=True, cost=cost, prune=True)
+        full = accumulated_cost(q, r, open_begin=True, cost=cost)
+        return pruned, full
+
+    @staticmethod
+    def _rounding(cost, value):
+        """The bound ``d`` of ``_dtw._limits`` for cells of ``value``, with
+        the largest cost in place of the bound on every cost."""
+        n_q, n_r = cost.shape
+        return (
+            3 * np.finfo(float).eps * (n_q + n_r) * (value + n_r * cost.max())
+        )
+
+    def test_random_inputs_keep_the_located_index(self):
+        """400 inputs on both sides of the width switch, magnitudes 1e-150
+        to 1e150, i.i.d. or random-walk references; a third hold the query
+        exactly, so the minimum is 0."""
+        rng = np.random.default_rng(90)
+        pruned_somewhere = 0
+        for trial in range(400):
+            n_r = int(rng.integers(self.WIDTH - 50, self.WIDTH + 350))
+            n_q = int(rng.integers(2, 60))
+            channels = int(rng.integers(1, 5))
+            scale = 10.0 ** rng.uniform(-150, 150)
+            r = rng.standard_normal((n_r, channels))
+            if trial % 2:
+                r = np.cumsum(r, axis=0)
+            r *= scale
+            start = int(rng.integers(0, n_r - n_q + 1))
+            q = r[start : start + n_q].copy()
+            if trial % 3 == 1:
+                q += 0.3 * scale * rng.standard_normal(q.shape)
+            elif trial % 3 == 2:
+                q = 5 * scale * rng.standard_normal(q.shape)
+            cost = cdist(q, r)
+            pruned, full = self._pair(q, r, cost)
+            j = int(np.argmin(full[-1]))
+            assert int(np.argmin(pruned[-1])) == j, trial
+            best = full[-1, j]
+            assert abs(pruned[-1, j] - best) <= max(
+                1e-12 * best, self._rounding(cost, best)
+            ), trial
+            computed = np.isfinite(pruned)
+            assert np.all(
+                pruned[computed]
+                >= full[computed] - self._rounding(cost, full[computed])
+            ), trial
+            if n_r < self.WIDTH:
+                np.testing.assert_array_equal(pruned, full)
+            pruned_somewhere += not computed.all()
+        assert pruned_somewhere > 200
+
+    def test_skips_most_cells_of_a_located_window(self):
+        rng = np.random.default_rng(93)
+        r = np.cumsum(rng.standard_normal((2 * self.WIDTH, 6)), axis=0)
+        q = r[900:1140] + 0.3 * rng.standard_normal((240, 6))
+        pruned, full = self._pair(q, r)
+        assert np.argmin(pruned[-1]) == np.argmin(full[-1])
+        assert np.isfinite(pruned).mean() < 0.25
+
+    @pytest.mark.parametrize("case", ["constant", "noise", "reversed"])
+    def test_worst_cases_keep_the_located_index(self, case):
+        """Inputs where the bound is loose. On a constant cost and on noise
+        no diagonal stands out, so the full scan runs; a window reversed
+        in time still prunes."""
+        rng = np.random.default_rng(91)
+        n_q, n_r = 120, self.WIDTH + 500
+        if case == "constant":
+            q, r = np.zeros((n_q, 2)), np.ones((n_r, 2))
+        elif case == "noise":
+            q, r = rng.random((n_q, 8)), rng.random((n_r, 8))
+        else:
+            r = np.cumsum(rng.standard_normal((n_r, 3)), axis=0)
+            q = r[700 : 700 + n_q][::-1].copy()
+        pruned, full = self._pair(q, r)
+        assert np.argmin(pruned[-1]) == np.argmin(full[-1])
+        if case != "reversed":
+            np.testing.assert_array_equal(pruned, full)
+
+    @pytest.mark.parametrize("nudge", [0.0, 4.0, -4.0])
+    def test_ties_fall_back_to_the_full_scan(self, nudge):
+        """The query sits twice in the reference, the second copy exact or
+        a few ulps off: the full scan decides, so the matrices agree."""
+        rng = np.random.default_rng(92)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + 200, 3)), axis=0)
+        q = r[400:430].copy()
+        r[1200:1230] = q * (1 + nudge * np.finfo(float).eps)
+        pruned, full = self._pair(q, r)
+        np.testing.assert_array_equal(pruned, full)
+
+    @pytest.mark.parametrize(
+        "open_begin, extra", [(False, 100), (True, -1)], ids=["closed", "narrow"]
+    )
+    def test_changes_nothing_when_closed_or_narrow(self, open_begin, extra):
+        rng = np.random.default_rng(94)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + extra, 4)), axis=0)
+        q = r[300:360] + 0.1 * rng.standard_normal((60, 4))
+        np.testing.assert_array_equal(
+            accumulated_cost(q, r, open_begin=open_begin, prune=True),
+            accumulated_cost(q, r, open_begin=open_begin),
+        )
+
+    def test_given_rows_match_cold_call(self):
+        rng = np.random.default_rng(95)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + 300, 27)), axis=0)
+        q = r[500:620] + 0.2 * rng.standard_normal((120, 27))
+        ring = np.roll(cdist(q, r), 7, axis=0)
+        rows = [*ring[7:], *ring[:7]]
+        np.testing.assert_array_equal(
+            accumulated_cost(q, r, open_begin=True, cost=rows, prune=True),
+            accumulated_cost(q, r, open_begin=True, prune=True),
+        )
 
 
 class TestDtwValidation:

@@ -7,7 +7,11 @@ clamping and root policies, the streaming loop, and persistence. The
 streaming loop is required to reproduce offline recomputation exactly,
 so those comparisons are bitwise. The loop's handling of an occluded
 marker is checked on the benchmark's own generated capture, where it
-was first seen to end the stream.
+was first seen to end the stream. The online lookup prunes its
+alignment, so every located column is compared with the argmin of a
+cold, unpruned one: on the small fixture with the prune width lowered,
+on a reference of the benchmark's ``stream`` size, and on random
+streams that leave the cycle.
 """
 
 import logging
@@ -17,9 +21,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tensormotion.alignment
 import tensormotion.predictor
+from tensormotion import _dtw
 from tensormotion.cycles import build_reference, extend_reference
 from tensormotion.kinematics import (
     SPACE_CARTESIAN,
@@ -382,40 +389,17 @@ class TestRunOnline:
     ):
         """Profilers wrap these module attributes; every update must go
         through each of them exactly once. The matrix the kept cost rows
-        give equals a cold call's, bit for bit."""
-        ref, cfg, coll, sk, cart = stream_setup
-        calls = {}
-        results = []
+        give equals a cold call's, bit for bit, and the located column is
+        the argmin of a cold, unpruned alignment."""
+        _check_traced_call_chain(stream_setup, monkeypatch)
 
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                result = original(*args, **kwargs)
-                if name == "accumulated_cost":
-                    kwargs.pop("cost")
-                    results.append((result, original(*args, **kwargs)))
-                return result
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(tensormotion.predictor, "select_coefficient")
-        count(tensormotion.predictor, "locate_in_reference")
-        count(tensormotion.alignment, "accumulated_cost")
-        n = 0
-        for n, _ in enumerate(run_online(iter(cart.frames), ref, coll, sk), 1):
-            assert calls == {
-                "select_coefficient": n,
-                "locate_in_reference": n,
-                "accumulated_cost": n,
-            }
-        assert n == (cart.n_frames - 15) // cfg.update_stride_frames + 1
-        ext_frames = ref.length_frames + cfg.past_frames
-        for acc, cold in results:
-            assert isinstance(acc, np.ndarray)
-            assert acc.shape == (cfg.past_frames, ext_frames)
-            np.testing.assert_array_equal(acc, cold)
+    def test_pruned_lookup_keeps_the_call_chain_and_index(
+        self, stream_setup, monkeypatch
+    ):
+        """The same with the prune width lowered, so that the fixture's
+        short reference is pruned too."""
+        monkeypatch.setattr(_dtw, "_PRUNE_MIN_WIDTH", 0)
+        _check_traced_call_chain(stream_setup, monkeypatch)
 
     def test_timestamped_stream_reports_gaps(self, stream_setup, caplog):
         ref, cfg, coll, sk, cart = stream_setup
@@ -500,6 +484,60 @@ def _assert_matches_offline(ref, coll, sk, frames, dropped_stamps):
             np.testing.assert_array_equal(a.coordinates, b.coordinates)
 
 
+def _check_traced_call_chain(stream_setup, monkeypatch):
+    """Count the calls of each traced layer per batch, compare each
+    matrix with a cold call's and each located column with a cold,
+    unpruned alignment's argmin."""
+    ref, cfg, coll, sk, cart = stream_setup
+    calls = {}
+    results = []
+    located = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            result = original(*args, **kwargs)
+            if name == "accumulated_cost":
+                kwargs.pop("cost")
+                results.append((result, original(*args, **kwargs)))
+            elif name == "locate_in_reference":
+                located.append((*args[:2], result))
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(tensormotion.predictor, "select_coefficient")
+    count(tensormotion.predictor, "locate_in_reference")
+    count(tensormotion.alignment, "accumulated_cost")
+    n = 0
+    for n, _ in enumerate(run_online(iter(cart.frames), ref, coll, sk), 1):
+        assert calls == {
+            "select_coefficient": n,
+            "locate_in_reference": n,
+            "accumulated_cost": n,
+        }
+    assert n == (cart.n_frames - 15) // cfg.update_stride_frames + 1
+    ext_frames = ref.length_frames + cfg.past_frames
+    for acc, cold in results:
+        assert isinstance(acc, np.ndarray)
+        assert acc.shape == (cfg.past_frames, ext_frames)
+        np.testing.assert_array_equal(acc, cold)
+    _assert_located_as_unpruned(located)
+
+
+def _assert_located_as_unpruned(located):
+    """Each ``(window, reference, index)`` lookup found the argmin of the
+    last row of a cold, unpruned alignment."""
+    assert located
+    for window, reference, index in located:
+        q = window.frames.reshape(window.n_frames, -1)
+        r = reference.frames.reshape(reference.n_frames, -1)
+        full = _dtw.accumulated_cost(q, r, open_begin=True)
+        assert index == int(np.argmin(full[-1]))
+
+
 def _assert_same_predictions(batches, expected):
     """Equal batches bit for bit, apart from ``gap_frames``."""
     assert len(batches) == len(expected)
@@ -512,6 +550,16 @@ def _assert_same_predictions(batches, expected):
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _angle_slice(angles: MotionSequence, a: int, b: int) -> MotionSequence:
+    return MotionSequence(
+        frames=angles.frames[a:b],
+        frame_rate=60.0,
+        space=SPACE_JOINT_ANGLE,
+        joint_names=angles.joint_names,
+        root_track=angles.root_track[a:b],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -533,16 +581,7 @@ def capture_stream():
         joint_names=joints,
     )
     angles, _ = to_joint_angles(train, sk)
-    cycles = [
-        MotionSequence(
-            frames=angles.frames[a:b],
-            frame_rate=60.0,
-            space=SPACE_JOINT_ANGLE,
-            joint_names=angles.joint_names,
-            root_track=angles.root_track[a:b],
-        )
-        for a, b in capture.ranges[:5]
-    ]
+    cycles = [_angle_slice(angles, a, b) for a, b in capture.ranges[:5]]
     ref = build_reference(cycles, target_frames=480)
     cfg = PipelineConfig(
         past_seconds=4.0,
@@ -553,6 +592,120 @@ def capture_stream():
         regression=RegressionConfig(rank=13, penalty=50.0, max_sweeps=3, seed=0),
     )
     return ref, build_collection(ref, cfg), sk, capture.frames[cut:]
+
+
+class TestPrunedLookup:
+    """The online lookup prunes its alignment and still locates the window
+    exactly where a cold, unpruned alignment does."""
+
+    @pytest.fixture(scope="class")
+    def wide_stream(self):
+        """The benchmark's ``stream`` shape: three 4760-frame training
+        cycles at 60 Hz and a cheap bank, so the extended reference (5000
+        frames) is wider than the prune width; the stream is the first
+        1500 frames of the cycle after them."""
+        sys.path.insert(0, str(PERFBENCH))
+        import inputs
+
+        capture = inputs.generate(2, 4, 4760)
+        joints, parents, lengths = inputs.skeleton_spec()
+        sk = Skeleton(joints, parents, lengths)
+        cut = capture.ranges[3][0]
+        train = MotionSequence(
+            frames=capture.frames[:cut],
+            frame_rate=60.0,
+            space=SPACE_CARTESIAN,
+            joint_names=joints,
+        )
+        angles, _ = to_joint_angles(train, sk)
+        ref = build_reference(
+            [_angle_slice(angles, a, b) for a, b in capture.ranges[:3]],
+            target_frames=4760,
+        )
+        cfg = PipelineConfig(
+            past_seconds=4.0,
+            future_seconds=1.0,
+            frame_rate=60.0,
+            model_stride_frames=120,
+            update_stride_frames=60,
+            regression=RegressionConfig(rank=13, penalty=50.0, max_sweeps=3, seed=0),
+        )
+        held = capture.frames[cut : cut + 1500]
+        return ref, build_collection(ref, cfg), sk, held
+
+    def test_wide_reference_is_pruned_and_located_exactly(
+        self, wide_stream, monkeypatch
+    ):
+        ref, coll, sk, held = wide_stream
+        assert ref.length_frames + coll.config.past_frames >= _dtw._PRUNE_MIN_WIDTH
+        located, computed = [], []
+        locate = tensormotion.predictor.locate_in_reference
+        align = tensormotion.alignment.accumulated_cost
+
+        def recorded_locate(*args, **kwargs):
+            index = locate(*args, **kwargs)
+            located.append((*args[:2], index))
+            return index
+
+        def recorded_align(*args, **kwargs):
+            acc = align(*args, **kwargs)
+            computed.append(np.isfinite(acc).mean())
+            return acc
+
+        monkeypatch.setattr(tensormotion.predictor, "locate_in_reference", recorded_locate)
+        monkeypatch.setattr(tensormotion.alignment, "accumulated_cost", recorded_align)
+        batches = list(run_online(iter(held), ref, coll, sk))
+        assert len(batches) == (len(held) - 240) // 60 + 1
+        _assert_located_as_unpruned(located)
+        # the lookup really skips cells
+        assert np.median(computed) < 0.5
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from(["cycle", "noise", "frozen", "reversed"]),
+                st.integers(4, 40),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_off_cycle_streams_are_located_exactly(self, stream_setup, segments):
+        """Random streams that leave the cycle (noise, a frozen pose, the
+        cycle backwards), where the bound is loose; the prune width is
+        lowered so that the fixture's short reference is pruned."""
+        ref, cfg, coll, sk, cart = stream_setup
+        laps = cart.frames
+        parts = []
+        for kind, length, seed in segments:
+            rng = np.random.default_rng(seed)
+            start = int(rng.integers(0, len(laps) - length))
+            piece = laps[start : start + length]
+            if kind == "noise":
+                piece = piece + 0.5 * rng.standard_normal(piece.shape)
+            elif kind == "frozen":
+                piece = np.repeat(piece[:1], length, axis=0)
+            elif kind == "reversed":
+                piece = piece[::-1]
+            parts.append(piece)
+        # enough on-cycle frames first to fill the first window
+        stream = np.concatenate([laps[:15], *parts])
+        located = []
+        locate = tensormotion.predictor.locate_in_reference
+
+        def recorded(*args, **kwargs):
+            index = locate(*args, **kwargs)
+            located.append((*args[:2], index))
+            return index
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_dtw, "_PRUNE_MIN_WIDTH", 0)
+            patch.setattr(tensormotion.predictor, "locate_in_reference", recorded)
+            batches = list(run_online(iter(stream), ref, coll, sk))
+        assert len(batches) == len(located) == (len(stream) - 15) // 4 + 1
+        _assert_located_as_unpruned(located)
 
 
 class TestNonFiniteFrames:
