@@ -43,7 +43,9 @@ from tensormotion.io import (
     DataFormatError,
     export_csv,
     ingest_csv,
+    load_archive,
     load_reference,
+    save_archive,
     save_reference,
     write_manifest,
 )
@@ -63,13 +65,11 @@ from tensormotion.predictor import (
 )
 from tensormotion.regression import (
     RegressionConfig,
-    SingularSystemError,
     predict as model_predict,
 )
 from tensormotion.synth import SynthConfig, generate_motion
 from tensormotion.uncertainty import (
     BAND_LEVELS,
-    UncertaintyBand,
     band_to_coordinates,
     predictive_variation,
 )
@@ -83,9 +83,6 @@ PENALTY_PRESET = {
     "penalties": (0.1, 0.6, 1.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0),
     "rank": 13,
 }
-
-BANDS_FORMAT_VERSION = 1
-PREDICTIONS_FORMAT_VERSION = 1
 
 
 class UsageError(Exception):
@@ -131,13 +128,8 @@ def _parse_selection(text: str | None, count: int) -> list[int]:
 
 
 def _slice_sequence(seq: MotionSequence, start: int, end: int) -> MotionSequence:
-    track = None if seq.root_track is None else seq.root_track[start:end]
-    return MotionSequence(
-        frames=seq.frames[start:end],
-        frame_rate=seq.frame_rate,
-        space=seq.space,
-        joint_names=seq.joint_names,
-        root_track=track,
+    return dataclasses.replace(
+        seq, frames=seq.frames[start:end], root_track=seq.root_track[start:end]
     )
 
 
@@ -148,12 +140,8 @@ def _reorder_to_skeleton(seq: MotionSequence, skeleton: Skeleton) -> MotionSeque
     if seq.joint_names == skeleton.joints:
         return seq
     order = [seq.joint_names.index(j) for j in skeleton.joints]
-    return MotionSequence(
-        frames=seq.frames[:, order],
-        frame_rate=seq.frame_rate,
-        space=seq.space,
-        joint_names=skeleton.joints,
-        root_track=seq.root_track,
+    return dataclasses.replace(
+        seq, frames=seq.frames[:, order], joint_names=skeleton.joints
     )
 
 
@@ -167,6 +155,7 @@ def _manifest(args, command: str, inputs: dict, outputs: dict) -> None:
         if key == "func":
             continue
         params[key] = str(value) if isinstance(value, Path) else value
+    inputs = {label: path for label, path in inputs.items() if path}
     primary = next(iter(outputs.values()))
     write_manifest(
         str(primary) + ".manifest.json",
@@ -201,8 +190,7 @@ def _cmd_synth(args) -> int:
             json.dumps({"cycles": ranges}, indent=2) + "\n"
         )
         outputs["boundaries"] = args.boundaries_out
-    inputs = {"skeleton": args.skeleton} if args.skeleton else {}
-    _manifest(args, "synth", inputs, outputs)
+    _manifest(args, "synth", {"skeleton": args.skeleton}, outputs)
     print(
         f"wrote {seq.n_frames} frames ({seq.duration:.2f} s, "
         f"{config.cycle_count} cycles) to {args.out}"
@@ -253,33 +241,46 @@ def _cmd_prep(args) -> int:
     return 0
 
 
-def _cmd_build(args) -> int:
-    ref = load_reference(args.reference)
-    config = PipelineConfig(
+def _config(args, frame_rate, rank, penalty, update_stride=None) -> PipelineConfig:
+    """The config of ``build`` and of each ``sweep`` job; the update
+    stride defaults to the horizon."""
+    if update_stride is None:
+        update_stride = max(1, int(round(args.future * frame_rate)))
+    return PipelineConfig(
         past_seconds=args.past,
         future_seconds=args.future,
-        frame_rate=ref.angles.frame_rate,
+        frame_rate=frame_rate,
         model_stride_frames=args.model_stride,
-        update_stride_frames=(
-            args.update_stride
-            if args.update_stride is not None
-            else max(1, int(round(args.future * ref.angles.frame_rate)))
-        ),
+        update_stride_frames=update_stride,
         regression=RegressionConfig(
-            rank=args.rank,
-            penalty=args.penalty,
+            rank=rank,
+            penalty=penalty,
             max_sweeps=args.max_sweeps,
             tolerance=args.tolerance,
             seed=args.seed,
         ),
     )
+
+
+def _train(ref, config: PipelineConfig, out_path) -> tuple[int, float]:
+    """Build, time and save one collection; returns its model count and
+    the build's seconds."""
     start = time.perf_counter()
     collection = build_collection(ref, config)
     elapsed = time.perf_counter() - start
-    save_collection(collection, args.out)
+    save_collection(collection, out_path)
+    return len(collection), elapsed
+
+
+def _cmd_build(args) -> int:
+    ref = load_reference(args.reference)
+    config = _config(
+        args, ref.angles.frame_rate, args.rank, args.penalty, args.update_stride
+    )
+    n_models, elapsed = _train(ref, config, args.out)
     _manifest(args, "build", {"reference": args.reference}, {"collection": args.out})
     print(
-        f"trained {len(collection)} models (rank {args.rank}, penalty "
+        f"trained {n_models} models (rank {args.rank}, penalty "
         f"{args.penalty:g}) in {elapsed:.1f} s"
     )
     return 0
@@ -303,12 +304,19 @@ def _cmd_predict(args) -> int:
             config, update_stride_frames=args.update_stride
         )
         collection = dataclasses.replace(collection, config=config)
+    horizons = _parse_horizons(args.horizons)
+    steps = [int(round(horizon * config.frame_rate)) for horizon in horizons]
+    for horizon, h_frames in zip(horizons, steps):
+        if not 1 <= h_frames <= config.future_frames:
+            raise ValueError(
+                f"horizon {horizon:g} s is {h_frames} frames; the collection "
+                f"predicts 1..{config.future_frames} frames ahead"
+            )
     ref = load_reference(args.reference)
     skeleton = Skeleton.from_file(args.skeleton)
     truth = _reorder_to_skeleton(
         ingest_csv(args.data, frame_rate=args.frame_rate), skeleton
     )
-    horizons = _parse_horizons(args.horizons)
 
     stream = iter(truth.frames)
     batches = list(
@@ -321,8 +329,7 @@ def _cmd_predict(args) -> int:
         )
 
     payload = {
-        "format_version": np.int64(PREDICTIONS_FORMAT_VERSION),
-        "config_json": json.dumps(dataclasses.asdict(config)),
+        "config_json": config.to_json(),
         "joint_names": np.array(skeleton.joints),
         "segment_names": np.array(skeleton.non_root_joints),
         "stamps": np.array([b.last_observed_frame for b in batches], dtype=np.int64),
@@ -337,13 +344,7 @@ def _cmd_predict(args) -> int:
         ),
         "horizons_s": np.array(horizons),
     }
-    for i, horizon in enumerate(horizons):
-        h_frames = int(round(horizon * config.frame_rate))
-        if not 1 <= h_frames <= config.future_frames:
-            raise ValueError(
-                f"horizon {horizon:g} s is {h_frames} frames; the collection "
-                f"predicts 1..{config.future_frames} frames ahead"
-            )
+    for i, (horizon, h_frames) in enumerate(zip(horizons, steps)):
         series = evaluate_predictions(batches, truth, h_frames)
         base = hold_pose_predictions(
             truth, [b.last_observed_frame for b in batches], h_frames
@@ -358,7 +359,7 @@ def _cmd_predict(args) -> int:
             f"{stats['median']:.2f} cm over {series.values.size} frames "
             f"(hold-pose baseline {base_stats['median']:.2f} cm)"
         )
-    np.savez(args.out, **payload)
+    save_archive(args.out, "predictions", payload)
     _manifest(
         args,
         "predict",
@@ -380,13 +381,10 @@ def _cmd_uncertainty(args) -> int:
     collection = load_collection(args.collection)
     ref = load_reference(args.reference)
     config = collection.config
-    if args.models is not None:
-        picked = _parse_selection(args.models, len(collection.entries))
-        collection = dataclasses.replace(
-            collection, entries=tuple(collection.entries[i] for i in picked)
-        )
-    else:
-        picked = list(range(len(collection.entries)))
+    picked = _parse_selection(args.models, len(collection.entries))
+    collection = dataclasses.replace(
+        collection, entries=tuple(collection.entries[i] for i in picked)
+    )
     bands = predictive_variation(ref, collection)
 
     # center trajectories: each model applied to its clean training window
@@ -401,8 +399,7 @@ def _cmd_uncertainty(args) -> int:
     centers = np.stack(centers)
 
     payload = {
-        "format_version": np.int64(BANDS_FORMAT_VERSION),
-        "config_json": json.dumps(dataclasses.asdict(config)),
+        "config_json": config.to_json(),
         "model_rows": np.array(picked, dtype=np.int64),
         "time_indices": collection.time_indices,
         "segment_names": np.array(ref.angles.joint_names),
@@ -411,28 +408,26 @@ def _cmd_uncertainty(args) -> int:
     }
     if args.skeleton:
         skeleton = Skeleton.from_file(args.skeleton)
-        coord_dev = {level: [] for level in BAND_LEVELS}
-        sphere = {level: [] for level in BAND_LEVELS}
-        for i, (entry, band) in enumerate(zip(collection.entries, bands)):
-            roots = ext.root_track[
-                entry.time_index + 1 : entry.time_index + 1 + future
-            ]
-            converted = band_to_coordinates(
-                band, centers[i], skeleton, root_positions=roots
+        converted = [
+            band_to_coordinates(
+                band, center, skeleton, ext.root_track[t + 1 : t + 1 + future]
             )
-            for level in BAND_LEVELS:
-                coord_dev[level].append(converted.coordinate_bands[level])
-                sphere[level].append(
-                    converted.sphere_radius(level, space="coordinate")
-                )
+            for t, band, center in zip(collection.time_indices, bands, centers)
+        ]
         payload["coord_joint_names"] = np.array(skeleton.joints)
         for level in BAND_LEVELS:
-            payload[f"coord_dev_{level}"] = np.stack(coord_dev[level])
-            payload[f"sphere_{level}"] = np.stack(sphere[level])
-    np.savez(args.out, **payload)
-    inputs = {"collection": args.collection, "reference": args.reference}
-    if args.skeleton:
-        inputs["skeleton"] = args.skeleton
+            payload[f"coord_dev_{level}"] = np.stack(
+                [c.coordinate_bands[level] for c in converted]
+            )
+            payload[f"sphere_{level}"] = np.stack(
+                [c.sphere_radius(level, space="coordinate") for c in converted]
+            )
+    save_archive(args.out, "bands", payload)
+    inputs = {
+        "collection": args.collection,
+        "reference": args.reference,
+        "skeleton": args.skeleton,
+    }
     _manifest(args, "uncertainty", inputs, {"bands": args.out})
     print(f"propagated bands for {len(collection.entries)} models")
     return 0
@@ -459,44 +454,20 @@ def _truth_channel(
 
 
 def _cmd_report(args) -> int:
-    with np.load(args.predictions, allow_pickle=False) as data:
-        if int(data["format_version"]) != PREDICTIONS_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{args.predictions}: unsupported predictions format"
-            )
-        pred = {k: data[k] for k in data.files}
-    config_raw = json.loads(str(pred["config_json"][()]))
-    frame_rate = config_raw["frame_rate"]
-    future_frames = int(
-        round(config_raw["future_seconds"] * frame_rate)
-    )
+    pred = load_archive(args.predictions, "predictions")
+    config = PipelineConfig.from_json(str(pred["config_json"][()]))
     truth = ingest_csv(args.truth, frame_rate=args.frame_rate)
-    horizons = [float(h) for h in pred["horizons_s"]]
-
-    summary_path = Path(f"{args.out_prefix}summary.csv")
-    lines = ["horizon_s,series," + ",".join(SUMMARY_FIELDS)]
-    for i, horizon in enumerate(horizons):
-        for series_name, key in (
-            ("prediction", f"see_{i}_values"),
-            ("baseline", f"baseline_{i}_values"),
-        ):
-            stats = SeeSeries(pred[key]).summary()
-            lines.append(
-                f"{horizon:g},{series_name},"
-                + ",".join(f"{stats[f]:.4f}" for f in SUMMARY_FIELDS)
-            )
-    summary_path.write_text("\n".join(lines) + "\n")
 
     joint, axis = _parse_channel(args.channel)
     truth_channel = _truth_channel(truth, args.skeleton, args.space, joint, axis)
-    h_frames = int(round(args.horizon * frame_rate))
-    if not 1 <= h_frames <= future_frames:
+    h_frames = int(round(args.horizon * config.frame_rate))
+    if not 1 <= h_frames <= config.future_frames:
         raise ValueError(
             f"plot horizon {args.horizon:g} s is outside the predicted range"
         )
     stamps = [int(s) for s in pred["stamps"]]
     picked = pick_latest(
-        stamps, h_frames, truth.n_frames, max_offset=future_frames
+        stamps, h_frames, truth.n_frames, max_offset=config.future_frames
     )
 
     if args.space == "coordinate":
@@ -509,51 +480,58 @@ def _cmd_report(args) -> int:
         raise ValueError(f"joint {joint!r} not present in the predictions")
     channel_col = names.index(joint)
 
-    bands = None
+    band_rows = {}  # model index -> row of the bands archive
     if args.bands:
-        with np.load(args.bands, allow_pickle=False) as data:
-            if int(data["format_version"]) != BANDS_FORMAT_VERSION:
-                raise DataFormatError(f"{args.bands}: unsupported bands format")
-            bands = {k: data[k] for k in data.files}
-        band_key = "angle_std" if args.space == "angle" else "coord_dev_1"
-        if args.space == "coordinate" and band_key not in bands:
+        bands = load_archive(args.bands, "bands")
+        if args.space == "coordinate" and "coord_dev_1" not in bands:
             raise ValueError(
                 "bands file has no coordinate bands; rerun the uncertainty "
                 "command with --skeleton"
             )
         band_rows = {int(r): i for i, r in enumerate(bands["model_rows"])}
 
-    plot_path = Path(f"{args.out_prefix}plot.csv")
-    header = "frame,truth,prediction,lo1,hi1,lo2,hi2,lo3,hi3"
-    rows = [header]
+    # every input is read and checked before the first file is written
+    lines = ["horizon_s,series," + ",".join(SUMMARY_FIELDS)]
+    for i, horizon in enumerate(float(h) for h in pred["horizons_s"]):
+        for series_name, key in (
+            ("prediction", f"see_{i}_values"),
+            ("baseline", f"baseline_{i}_values"),
+        ):
+            stats = SeeSeries(pred[key]).summary()
+            lines.append(
+                f"{horizon:g},{series_name},"
+                + ",".join(f"{stats[f]:.4f}" for f in SUMMARY_FIELDS)
+            )
+
+    rows = ["frame,truth,prediction,lo1,hi1,lo2,hi2,lo3,hi3"]
     for frame in sorted(picked):
         row_idx, offset = picked[frame]
         value = source[row_idx, offset - 1, channel_col, axis]
         cells = [str(frame), repr(float(truth_channel[frame])), repr(float(value))]
-        if bands is None:
+        b = band_rows.get(int(pred["model_index"][row_idx]))
+        if b is None:
             cells += [""] * 6
         else:
-            model = int(pred["model_index"][row_idx])
-            if model not in band_rows:
-                cells += [""] * 6
-            else:
-                b = band_rows[model]
-                for level in BAND_LEVELS:
-                    if args.space == "angle":
-                        half = level * bands["angle_std"][b, offset - 1, channel_col, axis]
-                    else:
-                        half = bands[f"coord_dev_{level}"][
-                            b, offset - 1, channel_col, axis
-                        ]
-                    cells += [repr(float(value - half)), repr(float(value + half))]
+            for level in BAND_LEVELS:
+                if args.space == "angle":
+                    half = level * bands["angle_std"][b, offset - 1, channel_col, axis]
+                else:
+                    half = bands[f"coord_dev_{level}"][
+                        b, offset - 1, channel_col, axis
+                    ]
+                cells += [repr(float(value - half)), repr(float(value + half))]
         rows.append(",".join(cells))
-    plot_path.write_text("\n".join(rows) + "\n")
 
-    inputs = {"predictions": args.predictions, "truth": args.truth}
-    if args.bands:
-        inputs["bands"] = args.bands
-    if args.skeleton:
-        inputs["skeleton"] = args.skeleton
+    summary_path = Path(f"{args.out_prefix}summary.csv")
+    plot_path = Path(f"{args.out_prefix}plot.csv")
+    summary_path.write_text("\n".join(lines) + "\n")
+    plot_path.write_text("\n".join(rows) + "\n")
+    inputs = {
+        "predictions": args.predictions,
+        "truth": args.truth,
+        "bands": args.bands,
+        "skeleton": args.skeleton,
+    }
     _manifest(
         args, "report", inputs, {"summary": summary_path, "plot": plot_path}
     )
@@ -561,46 +539,26 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _sweep_job(ref_path, config_kwargs, reg_kwargs, out_path):
-    ref = load_reference(ref_path)
-    config = PipelineConfig(
-        regression=RegressionConfig(**reg_kwargs), **config_kwargs
-    )
-    start = time.perf_counter()
-    collection = build_collection(ref, config)
-    elapsed = time.perf_counter() - start
-    save_collection(collection, out_path)
-    return str(out_path), len(collection), elapsed
+def _sweep_job(args, rank, penalty, out_path):
+    """One grid point of ``sweep``, at module level so that worker
+    processes can run it."""
+    ref = load_reference(args.reference)
+    config = _config(args, ref.angles.frame_rate, rank, penalty)
+    return (out_path, *_train(ref, config, out_path))
 
 
 def _cmd_sweep(args) -> int:
-    ref = load_reference(args.reference)
+    load_reference(args.reference)  # fail before creating the output directory
     if args.preset == "rank":
         grid = [(r, RANK_PRESET["penalty"]) for r in RANK_PRESET["ranks"]]
     else:
         grid = [(PENALTY_PRESET["rank"], p) for p in PENALTY_PRESET["penalties"]]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_kwargs = {
-        "past_seconds": args.past,
-        "future_seconds": args.future,
-        "frame_rate": ref.angles.frame_rate,
-        "model_stride_frames": args.model_stride,
-        "update_stride_frames": max(
-            1, int(round(args.future * ref.angles.frame_rate))
-        ),
-    }
-    jobs = []
-    for rank, penalty in grid:
-        reg_kwargs = {
-            "rank": rank,
-            "penalty": penalty,
-            "max_sweeps": args.max_sweeps,
-            "tolerance": args.tolerance,
-            "seed": args.seed,
-        }
-        out_path = out_dir / f"coll_rank{rank}_penalty{penalty:g}.npz"
-        jobs.append((args.reference, config_kwargs, reg_kwargs, str(out_path)))
+    jobs = [
+        (args, rank, penalty, str(out_dir / f"coll_rank{rank}_penalty{penalty:g}.npz"))
+        for rank, penalty in grid
+    ]
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -741,10 +699,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SingularSystemError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        # a singular fit raises SingularSystemError, a LinAlgError
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (DataFormatError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -1,11 +1,19 @@
-"""File formats: capture CSV, reference archives, run manifests.
+"""File formats: capture CSV, ``.npz`` archives, run manifests.
 
 The capture format is one CSV with a ``frame`` counter, a ``time``
 column in seconds, and an ``_x,_y,_z`` column triplet per joint, in
 meters. Every cell must parse as a finite number; diagnostics name the
-offending row (1-based, counting the header) and column. References are
-stored as ``.npz`` archives; manifests are JSON files recording inputs,
-outputs, their digests and the parameters of the run that produced them.
+offending row (1-based, counting the header) and column.
+
+Four kinds of ``.npz`` archive pass between the commands:
+``reference``, ``collection``, ``predictions`` and ``bands``. All are
+written by :func:`save_archive` and read by :func:`load_archive`. The
+reader rejects a version other than the kind's entry in
+``FORMAT_VERSIONS``, and a lookup of an array the archive lacks raises
+:class:`DataFormatError` naming the kind and the array, so an archive of
+the wrong kind is a format error too.
+Manifests are JSON files recording inputs, outputs, their digests and
+the parameters of the run that produced them.
 """
 
 from __future__ import annotations
@@ -27,19 +35,22 @@ from tensormotion.kinematics import (
 
 __all__ = [
     "DataFormatError",
+    "FORMAT_VERSIONS",
     "export_csv",
     "ingest_csv",
+    "load_archive",
     "load_reference",
+    "save_archive",
     "save_reference",
     "sha256_file",
     "write_manifest",
 ]
 
-REFERENCE_FORMAT_VERSION = 1
+FORMAT_VERSIONS = {"reference": 1, "collection": 1, "predictions": 1, "bands": 1}
 
 
 class DataFormatError(ValueError):
-    """An input file does not satisfy the capture format."""
+    """An input file does not satisfy its format."""
 
 
 def _parse_header(header: list[str], path) -> tuple[str, ...]:
@@ -168,42 +179,74 @@ def export_csv(seq: MotionSequence, path) -> None:
             writer.writerow(row)
 
 
+class _Archive(dict):
+    """The arrays of one archive; a missing one is a format error."""
+
+    def __init__(self, path, kind: str, arrays: dict):
+        super().__init__(arrays)
+        self.path, self.kind = path, kind
+
+    def __missing__(self, key):
+        raise DataFormatError(
+            f"{self.path}: {self.kind} archive has no array {key!r}"
+        )
+
+
+def save_archive(path, kind: str, arrays: dict) -> None:
+    """Write ``arrays`` as an ``.npz`` archive stamped with the format
+    version of ``kind``."""
+    np.savez(path, format_version=np.int64(FORMAT_VERSIONS[kind]), **arrays)
+
+
+def load_archive(path, kind: str) -> dict:
+    """Read every array of an archive written by :func:`save_archive`.
+
+    Raises :class:`DataFormatError` for a file that is no ``.npz``
+    archive, a version other than the kind's, and a missing array.
+    """
+    path = Path(path)
+    data = np.load(path, allow_pickle=False)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataFormatError(f"{path}: not an .npz archive")
+    with data:
+        arrays = _Archive(path, kind, {k: data[k] for k in data.files})
+    version = int(arrays["format_version"])
+    if version != FORMAT_VERSIONS[kind]:
+        raise DataFormatError(
+            f"{path}: {kind} format version {version}, expected "
+            f"{FORMAT_VERSIONS[kind]}"
+        )
+    return arrays
+
+
 def save_reference(ref: ReferenceCycle, path) -> None:
-    """Persist a reference cycle as an ``.npz`` archive."""
-    np.savez(
-        path,
-        format_version=np.int64(REFERENCE_FORMAT_VERSION),
-        angles=ref.angles.frames,
-        root_track=ref.angles.root_track,
-        per_timestep_std=ref.per_timestep_std,
-        frame_rate=float(ref.angles.frame_rate),
-        joint_names=np.array(ref.angles.joint_names),
-        source_cycle_count=np.int64(ref.source_cycle_count),
-    )
+    """Persist a reference cycle as a ``reference`` archive."""
+    arrays = {
+        "angles": ref.angles.frames,
+        "root_track": ref.angles.root_track,
+        "per_timestep_std": ref.per_timestep_std,
+        "frame_rate": float(ref.angles.frame_rate),
+        "joint_names": np.array(ref.angles.joint_names),
+        "source_cycle_count": np.int64(ref.source_cycle_count),
+    }
+    save_archive(path, "reference", arrays)
 
 
 def load_reference(path) -> ReferenceCycle:
     """Load a reference cycle written by :func:`save_reference`."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != REFERENCE_FORMAT_VERSION:
-            raise DataFormatError(
-                f"{path}: reference format version {version}, expected "
-                f"{REFERENCE_FORMAT_VERSION}"
-            )
-        angles = MotionSequence(
-            frames=data["angles"],
-            frame_rate=float(data["frame_rate"]),
-            space=SPACE_JOINT_ANGLE,
-            joint_names=tuple(str(n) for n in data["joint_names"]),
-            root_track=data["root_track"],
-        )
-        return ReferenceCycle(
-            angles=angles,
-            per_timestep_std=data["per_timestep_std"],
-            source_cycle_count=int(data["source_cycle_count"]),
-        )
+    data = load_archive(path, "reference")
+    angles = MotionSequence(
+        frames=data["angles"],
+        frame_rate=float(data["frame_rate"]),
+        space=SPACE_JOINT_ANGLE,
+        joint_names=tuple(str(n) for n in data["joint_names"]),
+        root_track=data["root_track"],
+    )
+    return ReferenceCycle(
+        angles=angles,
+        per_timestep_std=data["per_timestep_std"],
+        source_cycle_count=int(data["source_cycle_count"]),
+    )
 
 
 def sha256_file(path) -> str:

@@ -30,6 +30,7 @@ __all__ = [
     "default_skeleton",
     "fix_segment_lengths",
     "from_joint_angles",
+    "positions_from_directions",
     "segment_distances",
     "to_joint_angles",
 ]
@@ -74,17 +75,7 @@ class Skeleton:
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root joint, found {roots}")
         # reachability from the root doubles as the acyclicity check
-        children: dict[str, list[str]] = {j: [] for j in self.joints}
-        for child in self.joints:
-            if child in self.parents:
-                children[self.parents[child]].append(child)
-        seen = []
-        stack = [roots[0]]
-        while stack:
-            j = stack.pop()
-            seen.append(j)
-            stack.extend(reversed(children[j]))
-        if len(seen) != len(self.joints):
+        if len(self.topological_joints) != len(self.joints):
             raise ValueError("skeleton edges do not form a single rooted tree")
         if set(self.segment_lengths) != joint_set - {roots[0]}:
             raise ValueError("segment_lengths must cover exactly the non-root joints")
@@ -266,18 +257,23 @@ def _column_indices(seq: MotionSequence, names) -> np.ndarray:
     return np.array([lookup[n] for n in names])
 
 
+def _segment_vectors(seq: MotionSequence, skeleton: Skeleton) -> np.ndarray:
+    """Child-minus-parent vectors, shape ``(T, n_segments, 3)``, with
+    segments in ``skeleton.non_root_joints`` order."""
+    if seq.space != SPACE_CARTESIAN:
+        raise ValueError(f"expected Cartesian data, got {seq.space!r} data")
+    non_root = skeleton.non_root_joints
+    child = _column_indices(seq, non_root)
+    parent = _column_indices(seq, [skeleton.parents[j] for j in non_root])
+    return seq.frames[:, child] - seq.frames[:, parent]
+
+
 def segment_distances(seq: MotionSequence, skeleton: Skeleton) -> np.ndarray:
     """Per-frame child-parent distances, shape ``(T, n_segments)``.
 
     Columns follow ``skeleton.non_root_joints``.
     """
-    if seq.space != SPACE_CARTESIAN:
-        raise ValueError("segment distances require Cartesian data")
-    non_root = skeleton.non_root_joints
-    child = _column_indices(seq, non_root)
-    parent = _column_indices(seq, [skeleton.parents[j] for j in non_root])
-    diff = seq.frames[:, child] - seq.frames[:, parent]
-    return np.linalg.norm(diff, axis=2)
+    return np.linalg.norm(_segment_vectors(seq, skeleton), axis=2)
 
 
 def to_joint_angles(
@@ -295,12 +291,8 @@ def to_joint_angles(
         If any frame has a coincident child-parent pair, which leaves
         the direction undefined.
     """
-    if seq.space != SPACE_CARTESIAN:
-        raise ValueError("to_joint_angles expects Cartesian data")
     non_root = skeleton.non_root_joints
-    child = _column_indices(seq, non_root)
-    parent = _column_indices(seq, [skeleton.parents[j] for j in non_root])
-    diff = seq.frames[:, child] - seq.frames[:, parent]
+    diff = _segment_vectors(seq, skeleton)
     dist = np.linalg.norm(diff, axis=2)
     if np.any(dist == 0.0):
         t, j = np.argwhere(dist == 0.0)[0]
@@ -322,38 +314,28 @@ def to_joint_angles(
     return angle_seq, dist
 
 
-def angles_to_coordinates(
-    angles: np.ndarray,
+def positions_from_directions(
+    directions: np.ndarray,
     root_positions: np.ndarray,
     skeleton: Skeleton,
     lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rebuild Cartesian positions from direction angles.
+    """Walk the tree from the root: ``pos_J = pos_P + d * direction_J``.
 
-    Parameters
-    ----------
-    angles : np.ndarray
-        ``(T, n_segments, 3)`` in ``skeleton.non_root_joints`` order.
-    root_positions : np.ndarray
-        ``(T, 3)`` or a single ``(3,)`` position used for all frames.
-    skeleton : Skeleton
-        Supplies tree structure and, when ``lengths`` is omitted, the
-        segment lengths.
-    lengths : np.ndarray, optional
-        ``(n_segments,)`` static or ``(T, n_segments)`` per-frame
-        segment lengths overriding the skeleton's.
-
-    Returns
-    -------
-    np.ndarray
-        ``(T, n_joints, 3)`` positions in ``skeleton.joints`` order.
+    ``directions`` is ``(T, n_segments, 3)`` in ``skeleton.non_root_joints``
+    order and is used as given, so a non-unit vector scales its segment.
+    ``root_positions`` is ``(T, 3)`` or one ``(3,)`` position for all
+    frames. ``lengths``, ``(n_segments,)`` static or ``(T, n_segments)``
+    per frame, overrides the skeleton's segment lengths. Returns
+    ``(T, n_joints, 3)`` positions in ``skeleton.joints`` order.
     """
-    angles = np.asarray(angles, dtype=float)
+    directions = np.asarray(directions, dtype=float)
     non_root = skeleton.non_root_joints
-    n_frames = angles.shape[0]
-    if angles.ndim != 3 or angles.shape[1:] != (len(non_root), 3):
+    n_frames = directions.shape[0]
+    if directions.ndim != 3 or directions.shape[1:] != (len(non_root), 3):
         raise ValueError(
-            f"angles must have shape (T, {len(non_root)}, 3), got {angles.shape}"
+            f"directions must have shape (T, {len(non_root)}, 3), "
+            f"got {directions.shape}"
         )
     root_positions = np.asarray(root_positions, dtype=float)
     if root_positions.shape == (3,):
@@ -372,7 +354,6 @@ def angles_to_coordinates(
         if np.any(lengths <= 0):
             raise ValueError("segment lengths must be positive")
 
-    dirs = np.cos(angles)
     seg_col = {j: i for i, j in enumerate(non_root)}
     out_col = {j: i for i, j in enumerate(skeleton.joints)}
     coords = np.empty((n_frames, len(skeleton.joints), 3))
@@ -383,9 +364,27 @@ def angles_to_coordinates(
         s = seg_col[joint]
         d = lengths[s] if lengths.ndim == 1 else lengths[:, s, None]
         coords[:, out_col[joint]] = coords[:, out_col[skeleton.parents[joint]]] + (
-            d * dirs[:, s]
+            d * directions[:, s]
         )
     return coords
+
+
+def angles_to_coordinates(
+    angles: np.ndarray,
+    root_positions: np.ndarray,
+    skeleton: Skeleton,
+    lengths: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rebuild Cartesian positions from direction angles.
+
+    ``angles`` is ``(T, n_segments, 3)`` in ``skeleton.non_root_joints``
+    order; the segments point along ``cos(angles)``. The other
+    arguments and the result are those of
+    :func:`positions_from_directions`.
+    """
+    return positions_from_directions(
+        np.cos(np.asarray(angles, dtype=float)), root_positions, skeleton, lengths
+    )
 
 
 def from_joint_angles(
@@ -395,23 +394,17 @@ def from_joint_angles(
 ) -> MotionSequence:
     """Back-transform an angle-space sequence to Cartesian positions.
 
-    Angles may stray past ``[0, pi]`` by at most the clamp tolerance;
-    anything further is reported as an error rather than silently
-    wrapped. Segment lengths default to the skeleton's; pass the
-    per-frame distances returned by :func:`to_joint_angles` for an exact
-    round trip.
+    :class:`MotionSequence` lets angles stray past ``[0, pi]`` by at most
+    the clamp tolerance; they are clipped here. Segment lengths default
+    to the skeleton's; pass the per-frame distances returned by
+    :func:`to_joint_angles` for an exact round trip.
     """
     if seq.space != SPACE_JOINT_ANGLE:
         raise ValueError("from_joint_angles expects angle-space data")
-    if seq.root_track is None:
-        raise ValueError("angle-space sequence has no root_track")
     if seq.joint_names != skeleton.non_root_joints:
         raise ValueError(
             "sequence joints do not match the skeleton's non-root joints"
         )
-    lo, hi = float(seq.frames.min()), float(seq.frames.max())
-    if lo < -CLAMP_TOLERANCE or hi > np.pi + CLAMP_TOLERANCE:
-        raise ValueError(f"angles outside [0, pi] beyond tolerance: [{lo}, {hi}]")
     angles = np.clip(seq.frames, 0.0, np.pi)
     coords = angles_to_coordinates(angles, seq.root_track, skeleton, lengths)
     return MotionSequence(

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from tensormotion.alignment import locate_in_reference
 from tensormotion.cycles import ReferenceCycle, extend_reference
+from tensormotion.io import DataFormatError, load_archive, save_archive
 from tensormotion.kinematics import (
     SPACE_CARTESIAN,
     SPACE_JOINT_ANGLE,
@@ -103,6 +103,30 @@ class PipelineConfig:
     @property
     def future_frames(self) -> int:
         return int(round(self.future_seconds * self.frame_rate))
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
+
+    @classmethod
+    def from_json(cls, text: str) -> "PipelineConfig":
+        """Rebuild a config from :meth:`to_json` text.
+
+        A missing or unknown field raises :class:`DataFormatError`.
+        """
+        raw = _fields_of(json.loads(text), cls)
+        regression = RegressionConfig(**_fields_of(raw["regression"], RegressionConfig))
+        return cls(**{**raw, "regression": regression})
+
+
+def _fields_of(raw, cls) -> dict:
+    """``raw``, checked to name exactly the fields of dataclass ``cls``."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(raw, dict) or raw.keys() != names:
+        got = sorted(raw) if isinstance(raw, dict) else raw
+        raise DataFormatError(
+            f"{cls.__name__} needs the fields {sorted(names)}, got {got!r}"
+        )
+    return raw
 
 
 @dataclass(frozen=True)
@@ -272,8 +296,6 @@ def predict_window(
     """
     if window.space != SPACE_JOINT_ANGLE:
         raise ValueError("predict_window expects an angle-space window")
-    if window.root_track is None:
-        raise ValueError("window has no root_track")
     if window.n_frames != config.past_frames:
         raise ValueError(
             f"window has {window.n_frames} frames, config expects "
@@ -448,11 +470,9 @@ def run_online(
             scored = count
 
 
-FORMAT_VERSION = 1
-
-
 def save_collection(collection: CoefficientCollection, path) -> None:
-    """Persist a collection to an ``.npz`` file.
+    """Persist a collection as a ``collection`` archive (see
+    :mod:`tensormotion.io`).
 
     Factor matrices are stored stacked per mode in float64, so a
     reloaded collection predicts bit-identically.
@@ -461,8 +481,7 @@ def save_collection(collection: CoefficientCollection, path) -> None:
     n_in = len(entries[0].factors.input_factors)
     n_out = len(entries[0].factors.output_factors)
     payload = {
-        "format_version": np.int64(FORMAT_VERSION),
-        "config_json": json.dumps(asdict(collection.config)),
+        "config_json": collection.config.to_json(),
         "time_indices": collection.time_indices.astype(np.int64),
         "n_input_modes": np.int64(n_in),
         "n_output_modes": np.int64(n_out),
@@ -475,40 +494,23 @@ def save_collection(collection: CoefficientCollection, path) -> None:
         payload[f"output_factor_{m}"] = np.stack(
             [e.factors.output_factors[m] for e in entries]
         )
-    np.savez(path, **payload)
+    save_archive(path, "collection", payload)
 
 
 def load_collection(path) -> CoefficientCollection:
     """Load a collection written by :func:`save_collection`."""
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"])
-        if version != FORMAT_VERSION:
-            raise ValueError(
-                f"{path} has format version {version}, expected {FORMAT_VERSION}"
-            )
-        raw = json.loads(str(data["config_json"][()]))
-        config = PipelineConfig(
-            past_seconds=raw["past_seconds"],
-            future_seconds=raw["future_seconds"],
-            frame_rate=raw["frame_rate"],
-            model_stride_frames=raw["model_stride_frames"],
-            update_stride_frames=raw["update_stride_frames"],
-            regression=RegressionConfig(**raw["regression"]),
+    data = load_archive(path, "collection")
+    config = PipelineConfig.from_json(str(data["config_json"][()]))
+    ins = [data[f"input_factor_{l}"] for l in range(int(data["n_input_modes"]))]
+    outs = [data[f"output_factor_{m}"] for m in range(int(data["n_output_modes"]))]
+    entries = tuple(
+        CollectionEntry(
+            time_index=int(t),
+            factors=CpFactors(
+                tuple(mode[i].copy() for mode in ins),
+                tuple(mode[i].copy() for mode in outs),
+            ),
         )
-        time_indices = data["time_indices"]
-        n_in = int(data["n_input_modes"])
-        n_out = int(data["n_output_modes"])
-        ins = [data[f"input_factor_{l}"] for l in range(n_in)]
-        outs = [data[f"output_factor_{m}"] for m in range(n_out)]
-        entries = tuple(
-            CollectionEntry(
-                time_index=int(t),
-                factors=CpFactors(
-                    tuple(mode[i].copy() for mode in ins),
-                    tuple(mode[i].copy() for mode in outs),
-                ),
-            )
-            for i, t in enumerate(time_indices)
-        )
+        for i, t in enumerate(data["time_indices"])
+    )
     return CoefficientCollection(config=config, entries=entries)

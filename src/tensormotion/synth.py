@@ -25,6 +25,7 @@ from tensormotion.kinematics import (
     MotionSequence,
     Skeleton,
     default_skeleton,
+    positions_from_directions,
 )
 
 __all__ = ["SynthConfig", "generate_motion"]
@@ -74,8 +75,7 @@ def generate_motion(
     """
     skeleton = config.skeleton or default_skeleton()
     rng = np.random.default_rng(config.seed)
-    non_root = skeleton.non_root_joints
-    n_seg = len(non_root)
+    n_seg = len(skeleton.non_root_joints)
 
     # per-joint program parameters; the first joint is the designated
     # segmentation channel with its trough pinned to the cycle start
@@ -135,18 +135,9 @@ def generate_motion(
             )
         )
 
-    seg_col = {j: i for i, j in enumerate(non_root)}
-    out_col = {j: i for i, j in enumerate(skeleton.joints)}
-    coords = np.empty((n_frames, len(skeleton.joints), 3))
-    coords[:, out_col[skeleton.root]] = np.array([0.0, 0.0, 1.0])
-    for joint in skeleton.topological_joints:
-        if joint == skeleton.root:
-            continue
-        s = seg_col[joint]
-        coords[:, out_col[joint]] = (
-            coords[:, out_col[skeleton.parents[joint]]]
-            + lengths[:, s, None] * dirs[:, s]
-        )
+    coords = positions_from_directions(
+        dirs, np.array([0.0, 0.0, 1.0]), skeleton, lengths
+    )
 
     if config.noise_std_cm:
         coords = coords + rng.standard_normal(coords.shape) * (

@@ -2,8 +2,9 @@
 
 Two complementary routes. The fast one propagates the reference cycle's
 own per-timestep spread exactly through each trained (linear) model and
-reads off the per-entry standard deviation of the predicted tail; it
-runs at collection-build time and draws no random numbers. The
+reads off the per-entry standard deviation of the predicted tail; the
+``uncertainty`` command runs it on a built collection, and it draws no
+random numbers. The
 principled one draws from the Bayesian posterior of a single model via
 the Gibbs sampler and summarizes the predictive draws with equal-tailed
 intervals.
@@ -21,7 +22,7 @@ import numpy as np
 
 from tensormotion.cycles import ReferenceCycle
 from tensormotion.kinematics import Skeleton, angles_to_coordinates
-from tensormotion.predictor import CoefficientCollection, PredictionFrame
+from tensormotion.predictor import CoefficientCollection
 from tensormotion.regression import RegressionConfig, gibbs_sample
 from tensormotion.tensor_ops import cp_reconstruct
 
@@ -157,48 +158,39 @@ def posterior_predictive(
 
 def band_to_coordinates(
     band: UncertaintyBand,
-    center,
+    center: np.ndarray,
     skeleton: Skeleton,
-    root_positions: np.ndarray | None = None,
+    root_positions: np.ndarray,
     lengths: np.ndarray | None = None,
 ) -> UncertaintyBand:
     """Translate an angle-space band to coordinate space.
 
-    ``center`` is either the list of :class:`PredictionFrame` the band
-    belongs to, or a ``(T, n_segments, 3)`` angle array (then
-    ``root_positions`` is required). For every level the band edges
-    ``center +- level * std`` are clipped to ``[0, pi]``,
-    back-transformed, and the larger per-entry deviation from the
-    back-transformed center is kept. Returns a new band with
+    ``center`` is the ``(T, n_segments, 3)`` angle trajectory the band
+    surrounds and ``root_positions`` its ``(T, 3)`` root track (or one
+    ``(3,)`` position); ``lengths`` overrides the skeleton's segment
+    lengths as in :func:`~tensormotion.kinematics.angles_to_coordinates`.
+    For every level the band edges ``center +- level * std`` are clipped
+    to ``[0, pi]``, back-transformed, and the larger per-entry deviation
+    from the back-transformed center is kept. Returns a new band with
     ``coordinate_bands`` filled; the input band is left untouched.
     """
-    if isinstance(center, (list, tuple)) and center and isinstance(
-        center[0], PredictionFrame
-    ):
-        root_idx = skeleton.joints.index(skeleton.root)
-        angles = np.stack([f.angles for f in center])
-        roots = np.stack([f.coordinates[root_idx] for f in center])
-    else:
-        angles = np.asarray(center, dtype=float)
-        if root_positions is None:
-            raise ValueError("root_positions is required with a plain angle center")
-        roots = np.asarray(root_positions, dtype=float)
+    angles = np.asarray(center, dtype=float)
     if angles.shape != band.angle_std.shape:
         raise ValueError(
             f"center shape {angles.shape} does not match band "
             f"{band.angle_std.shape}"
         )
     mid = angles_to_coordinates(
-        np.clip(angles, 0.0, np.pi), roots, skeleton, lengths
+        np.clip(angles, 0.0, np.pi), root_positions, skeleton, lengths
     )
     coords = {}
     for level in BAND_LEVELS:
         half = band.band(level)
         hi = angles_to_coordinates(
-            np.clip(angles + half, 0.0, np.pi), roots, skeleton, lengths
+            np.clip(angles + half, 0.0, np.pi), root_positions, skeleton, lengths
         )
         lo = angles_to_coordinates(
-            np.clip(angles - half, 0.0, np.pi), roots, skeleton, lengths
+            np.clip(angles - half, 0.0, np.pi), root_positions, skeleton, lengths
         )
         coords[level] = np.maximum(np.abs(hi - mid), np.abs(lo - mid))
     return replace(band, coordinate_bands=coords)

@@ -291,6 +291,82 @@ class TestErrorPaths:
         assert code == 2
         assert not out.exists()
 
+    def test_horizon_checked_before_the_replay(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        def replay(*args, **kwargs):
+            raise AssertionError("the capture was replayed")
+
+        monkeypatch.setattr("tensormotion.cli.run_online", replay)
+        code = main([
+            "predict", "--collection", str(workspace["collection"]),
+            "--reference", str(workspace["reference"]),
+            "--skeleton", str(workspace["skeleton"]),
+            "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "p.npz"), "--horizons", "0.1,5.0",
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("predict_swapped", "collection"),
+            ("uncertainty_on_reference", "collection"),
+            ("report_on_bands", "predictions"),
+        ],
+    )
+    def test_wrong_archive_kind_is_data_error(
+        self, workspace, tmp_path, capsys, command, kind
+    ):
+        w = {k: str(v) for k, v in workspace.items()}
+        out = tmp_path / "out.npz"
+        argv = {
+            "predict_swapped": [
+                "predict", "--collection", w["reference"],
+                "--reference", w["collection"], "--skeleton", w["skeleton"],
+                "--data", w["data"], "--out", str(out),
+            ],
+            "uncertainty_on_reference": [
+                "uncertainty", "--collection", w["reference"],
+                "--reference", w["reference"], "--out", str(out),
+            ],
+            "report_on_bands": [
+                "report", "--predictions", w["bands"], "--truth", w["data"],
+                "--skeleton", w["skeleton"], "--channel", "spine:z",
+                "--horizon", "0.2", "--out-prefix", str(tmp_path / "r_"),
+            ],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert f"{kind} archive has no array" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--horizon", "5", "--skeleton", "SKELETON"], 2),
+            (["--channel", "spine-z", "--skeleton", "SKELETON"], 1),
+            (["--space", "angle"], 1),  # angles need the skeleton
+            (["--space", "coordinate", "--channel", "knee:z"], 2),
+        ],
+        ids=["horizon", "channel", "no_skeleton", "unknown_joint"],
+    )
+    def test_failing_report_writes_nothing(
+        self, workspace, tmp_path, extra, expected
+    ):
+        extra = [str(workspace["skeleton"]) if a == "SKELETON" else a for a in extra]
+        code = main([
+            "report", "--predictions", str(workspace["predictions"]),
+            "--truth", str(workspace["data"]),
+            "--bands", str(workspace["bands"]),
+            "--out-prefix", str(tmp_path / "report_"), *extra,
+        ])
+        assert code == expected
+        assert list(tmp_path.iterdir()) == []
+
     def test_unpenalized_degenerate_fit_is_numerical_error(
         self, workspace, tmp_path, capsys
     ):

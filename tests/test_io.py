@@ -13,10 +13,13 @@ import pytest
 
 from tensormotion.cycles import build_reference
 from tensormotion.io import (
+    FORMAT_VERSIONS,
     DataFormatError,
     export_csv,
     ingest_csv,
+    load_archive,
     load_reference,
+    save_archive,
     save_reference,
     sha256_file,
     write_manifest,
@@ -26,6 +29,7 @@ from tensormotion.kinematics import (
     SPACE_JOINT_ANGLE,
     MotionSequence,
 )
+from tensormotion.predictor import load_collection
 from tensormotion.synth import SynthConfig, generate_motion
 
 
@@ -235,6 +239,56 @@ class TestReferenceArchive:
         np.savez(path, **payload)
         with pytest.raises(ValueError, match="version"):
             load_reference(path)
+
+
+class TestArchives:
+    """The shared ``.npz`` reader rejects archives of the wrong kind."""
+
+    @pytest.fixture
+    def reference_path(self, tmp_path):
+        seq = MotionSequence(
+            frames=np.full((4, 2, 3), 1.0),
+            frame_rate=30.0,
+            space=SPACE_JOINT_ANGLE,
+            joint_names=("mid", "tip"),
+            root_track=np.zeros((4, 3)),
+        )
+        path = tmp_path / "reference.npz"
+        save_reference(build_reference([seq]), path)
+        return path
+
+    def test_round_trip_stamps_the_kind_version(self, tmp_path):
+        path = tmp_path / "bands.npz"
+        save_archive(path, "bands", {"angle_std": np.arange(3.0)})
+        data = load_archive(path, "bands")
+        assert int(data["format_version"]) == FORMAT_VERSIONS["bands"]
+        assert data["angle_std"].tobytes() == np.arange(3.0).tobytes()
+
+    def test_reference_is_not_a_collection(self, reference_path):
+        with pytest.raises(
+            DataFormatError, match="collection archive has no array 'config_json'"
+        ):
+            load_collection(reference_path)
+
+    def test_missing_array_names_kind_and_array(self, tmp_path):
+        path = tmp_path / "other.npz"
+        save_archive(path, "predictions", {"stamps": np.arange(3)})
+        with pytest.raises(
+            DataFormatError, match="reference archive has no array 'angles'"
+        ):
+            load_reference(path)
+
+    def test_collection_version_mismatch_is_format_error(self, tmp_path):
+        path = tmp_path / "collection.npz"
+        np.savez(path, format_version=np.int64(FORMAT_VERSIONS["collection"] + 1))
+        with pytest.raises(DataFormatError, match="version"):
+            load_collection(path)
+
+    def test_plain_array_file_rejected(self, tmp_path):
+        path = tmp_path / "plain.npy"
+        np.save(path, np.zeros(3))
+        with pytest.raises(DataFormatError, match="not an .npz archive"):
+            load_archive(path, "reference")
 
 
 class TestManifest:

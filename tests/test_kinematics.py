@@ -19,6 +19,7 @@ from tensormotion.kinematics import (
     default_skeleton,
     fix_segment_lengths,
     from_joint_angles,
+    positions_from_directions,
     segment_distances,
     to_joint_angles,
 )
@@ -333,6 +334,19 @@ class TestBackTransform:
         )
         np.testing.assert_allclose(coords_a[:, 1], coords_b[:, 2])
         np.testing.assert_allclose(coords_a[:, 2], coords_b[:, 1])
+
+    @pytest.mark.parametrize("per_frame", [False, True])
+    def test_angles_walk_the_tree_along_their_cosines(self, per_frame):
+        """The back-transform is the directions walk applied to cos."""
+        rng = np.random.default_rng(55)
+        sk = default_skeleton()
+        n_seg = len(sk.non_root_joints)
+        angles = rng.uniform(0.0, np.pi, (5, n_seg, 3))
+        roots = rng.standard_normal((5, 3))
+        lengths = rng.uniform(0.1, 0.5, (5, n_seg) if per_frame else n_seg)
+        coords = angles_to_coordinates(angles, roots, sk, lengths)
+        walked = positions_from_directions(np.cos(angles), roots, sk, lengths)
+        assert coords.tobytes() == walked.tobytes()
 
 
 class TestSegmentLengths:

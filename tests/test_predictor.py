@@ -14,6 +14,7 @@ on a reference of the benchmark's ``stream`` size, and on random
 streams that leave the cycle.
 """
 
+import json
 import logging
 import sys
 from dataclasses import replace
@@ -28,6 +29,7 @@ import tensormotion.alignment
 import tensormotion.predictor
 from tensormotion import _dtw
 from tensormotion.cycles import build_reference, extend_reference
+from tensormotion.io import DataFormatError
 from tensormotion.kinematics import (
     SPACE_CARTESIAN,
     SPACE_JOINT_ANGLE,
@@ -143,6 +145,26 @@ class TestPipelineConfig:
             _config(frame_rate=-30.0)
         with pytest.raises(ValueError):
             _config(model_stride_frames=0)
+
+    def test_json_round_trip(self):
+        cfg = _config(model_stride_frames=3, update_stride_frames=4)
+        assert PipelineConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.pop("model_stride_frames"),
+            lambda raw: raw.update(horizon_frames=6),
+            lambda raw: raw["regression"].pop("seed"),
+            lambda raw: raw["regression"].update(sampler="gibbs"),
+        ],
+        ids=["missing", "unknown", "missing_nested", "unknown_nested"],
+    )
+    def test_json_field_mismatch_is_format_error(self, edit):
+        raw = json.loads(_config().to_json())
+        edit(raw)
+        with pytest.raises(DataFormatError, match="fields"):
+            PipelineConfig.from_json(json.dumps(raw))
 
 
 class TestBuildCollection:

@@ -20,7 +20,7 @@ from tensormotion.kinematics import (
     Skeleton,
     angles_to_coordinates,
 )
-from tensormotion.predictor import PipelineConfig, build_collection, predict_window
+from tensormotion.predictor import PipelineConfig, build_collection
 from tensormotion.regression import RegressionConfig
 from tensormotion.tensor_ops import cp_reconstruct
 from tensormotion.uncertainty import (
@@ -318,42 +318,9 @@ class TestBandToCoordinates:
             filled.coordinate_bands[1], np.abs(lo - mid), atol=1e-12
         )
 
-    def test_prediction_frames_equal_plain_arrays(self, setup):
-        ref, cfg, coll = setup
-        from tensormotion.cycles import extend_reference
-
-        ext = extend_reference(ref, cfg.past_frames)
-        end = coll.entries[1].time_index
-        window = MotionSequence(
-            frames=ext.frames[end - cfg.past_frames + 1 : end + 1],
-            frame_rate=FPS,
-            space=SPACE_JOINT_ANGLE,
-            joint_names=("mid", "tip"),
-            root_track=ext.root_track[end - cfg.past_frames + 1 : end + 1],
-        )
-        frames = predict_window(
-            window, coll.entries[1].factors, _skeleton(), cfg
-        )
-        band = UncertaintyBand(
-            angle_std=np.full((cfg.future_frames, 2, 3), 0.05)
-        )
-        via_frames = band_to_coordinates(band, frames, _skeleton())
-        via_arrays = band_to_coordinates(
-            band,
-            np.stack([f.angles for f in frames]),
-            _skeleton(),
-            root_positions=np.stack([f.coordinates[0] for f in frames]),
-        )
-        for level in BAND_LEVELS:
-            np.testing.assert_allclose(
-                via_frames.coordinate_bands[level],
-                via_arrays.coordinate_bands[level],
-                atol=1e-12,
-            )
-
     def test_array_center_requires_roots(self):
         band = UncertaintyBand(angle_std=np.zeros((1, 2, 3)))
-        with pytest.raises(ValueError, match="root_positions"):
+        with pytest.raises(TypeError, match="root_positions"):
             band_to_coordinates(band, np.full((1, 2, 3), 1.0), _skeleton())
 
     def test_shape_mismatch_rejected(self):
