@@ -193,9 +193,11 @@ class _Archive(dict):
 
 
 def save_archive(path, kind: str, arrays: dict) -> None:
-    """Write ``arrays`` as an ``.npz`` archive stamped with the format
-    version of ``kind``."""
-    np.savez(path, format_version=np.int64(FORMAT_VERSIONS[kind]), **arrays)
+    """Write ``arrays`` to ``path`` as an ``.npz`` archive stamped with
+    the format version of ``kind``. The file is opened here because
+    ``np.savez`` appends ``.npz`` to a name that lacks it."""
+    with open(path, "wb") as f:
+        np.savez(f, format_version=np.int64(FORMAT_VERSIONS[kind]), **arrays)
 
 
 def load_archive(path, kind: str) -> dict:

@@ -205,7 +205,7 @@ def build_collection(
 
     Positions step by ``model_stride_frames`` through the extended
     reference; each fit warm-starts from its predecessor, which keeps
-    neighboring models on the same optimization track and cuts sweeps.
+    neighboring anchors on one optimization track.
     Fits that stop at ``max_sweeps`` without meeting the tolerance are
     counted and reported in one logged warning per build.
     """

@@ -5,7 +5,9 @@ observation through a coefficient tensor held in CP form. Fitting
 alternates exact ridge solves over the factor matrices, which makes the
 penalized squared-error objective non-increasing sweep over sweep. A
 Gibbs sampler over the matching Bayesian posterior provides predictive
-draws for uncertainty work.
+draws for uncertainty work. Both run one sweep, which builds each
+product that several factor updates share once; the sampler draws each
+factor where the fit solves for it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 from tensormotion.tensor_ops import (
     CpFactors,
@@ -96,14 +99,6 @@ class FitResult:
         return len(self.objective_trace) - 1
 
 
-def _gram_prod(mats) -> np.ndarray:
-    rank = mats[0].shape[1]
-    gram = np.ones((rank, rank))
-    for m in mats:
-        gram *= m.T @ m
-    return gram
-
-
 @dataclass(frozen=True)
 class _Compressed:
     """One fit's data after the QR compression ``X_1 = Q R``.
@@ -152,53 +147,76 @@ def _compress(x: np.ndarray, y: np.ndarray) -> _Compressed:
     )
 
 
-def _input_system(data: _Compressed, ins, outs, skip, penalty):
-    """Normal equations for one input factor, all others held fixed.
+def _gram_prod(grams, rank: int) -> np.ndarray:
+    gram = np.ones((rank, rank))
+    for g in grams:
+        gram *= g
+    return gram
 
-    The unknowns are ordered component-major: entry ``r * P + p`` is
-    row ``p`` of column ``r`` of ``ins[skip]``.
+
+def _sweeps(data: _Compressed, ins: list, outs: list, penalty: float, step):
+    """Update ``ins``, then ``outs``, in place: one sweep per ``next``.
+
+    Yields the squared residual and coefficient norms at the given
+    factors and after every sweep. Each update replaces one factor by
+    ``step(a, rhs)`` on its normal equations (a solve in a fit, a draw
+    in the sampler); input unknowns are component-major (entry
+    ``r * P + p`` is row ``p`` of column ``r``), output factors are
+    solved transposed. Products that several updates share are built
+    once per sweep: the Khatri-Rao product of the outputs, ``S = R``
+    times that of the inputs with ``S^T S``, and one Gram per factor.
     """
-    rank = ins[0].shape[1]
-    p_l = ins[skip].shape[0]
-    rows = data.x1.shape[0]
-    others = [f for i, f in enumerate(ins) if i != skip]
-    # z[n, p, r]: observation n contracted with column r of every other
-    # input factor; the leading row of ones lets an order-1 input, which
-    # has no other factor, take the same path
-    z = data.input_unfoldings[skip] @ khatri_rao([np.ones((1, rank))] + others)
-    z = z.reshape(rows, p_l, rank).transpose(0, 2, 1).reshape(rows, rank * p_l)
-    wout = khatri_rao(list(reversed(outs)))
-    a = z.T @ z
-    blocks = a.reshape(rank, p_l, rank, p_l)
-    blocks *= (wout.T @ wout)[:, None, :, None]
-    if penalty:
-        diag = np.arange(p_l)
-        blocks[:, diag, :, diag] += penalty * _gram_prod(others + list(outs))
-    rhs = np.einsum("nrp,nr->rp", z.reshape(rows, rank, p_l), data.y1 @ wout)
-    return a, rhs.ravel()
-
-
-def _output_system(data: _Compressed, ins, outs, skip, penalty):
-    """Normal equations for the transposed output factor ``outs[skip]``."""
-    s = data.x1 @ khatri_rao(list(reversed(ins)))
-    others = [f for i, f in enumerate(outs) if i != skip]
-    dtd = s.T @ s
-    if others:
-        dtd = dtd * _gram_prod(others)
-    if penalty:
-        dtd = dtd + penalty * _gram_prod(list(ins) + others)
-    rhs = (data.output_unfoldings[skip] @ khatri_rao([s] + others)).T
-    return dtd, rhs
+    rank, rows, n_in = ins[0].shape[1], data.x1.shape[0], len(ins)
+    grams = [f.T @ f for f in ins + outs]
+    s = data.x1 @ khatri_rao(ins[::-1])
+    while True:
+        wout = khatri_rao(outs[::-1])
+        resid = data.y1 - s @ wout.T
+        bnorm2 = float(max(_gram_prod(grams, rank).sum(), 0.0))
+        yield data.sse_offset + float(np.vdot(resid, resid)), bnorm2
+        wgram, yw = wout.T @ wout, data.y1 @ wout
+        for l, p_l in enumerate(f.shape[0] for f in ins):
+            # z[n, p, r]: observation n contracted with column r of every
+            # other input factor; the leading row of ones lets an order-1
+            # input, which has no other factor, take the same path
+            kr = khatri_rao([np.ones((1, rank))] + ins[:l] + ins[l + 1 :])
+            z = (data.input_unfoldings[l] @ kr).reshape(rows, p_l, rank)
+            z = z.transpose(0, 2, 1).reshape(rows, rank * p_l)
+            a = z.T @ z
+            blocks = a.reshape(rank, p_l, rank, p_l)
+            blocks *= wgram[:, None, :, None]
+            if penalty:
+                diag = np.arange(p_l)
+                gram = _gram_prod(grams[:l] + grams[l + 1 :], rank)
+                blocks[:, diag, :, diag] += penalty * gram
+            rhs = np.einsum("nrp,nr->rp", z.reshape(rows, rank, p_l), yw)
+            ins[l] = step(a, rhs.ravel()).reshape(rank, -1).T
+            grams[l] = ins[l].T @ ins[l]
+        s = data.x1 @ khatri_rao(ins[::-1])
+        sts = s.T @ s
+        for m in range(len(outs)):
+            k, dtd = n_in + m, sts
+            if len(outs) > 1:
+                dtd = dtd * _gram_prod(grams[n_in:k] + grams[k + 1 :], rank)
+            if penalty:
+                dtd = dtd + penalty * _gram_prod(grams[:k] + grams[k + 1 :], rank)
+            kr = khatri_rao([s] + outs[:m] + outs[m + 1 :])
+            outs[m] = step(dtd, (data.output_unfoldings[m] @ kr).T).T
+            grams[k] = outs[m].T @ outs[m]
 
 
 def _solution_ok(a, b, u, rtol) -> bool:
     # a backward-stable solve leaves a tiny relative residual; garbage
     # from an effectively singular system does not
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         return False
-    resid = np.linalg.norm(a @ u - b)
-    scale = np.linalg.norm(a) * np.linalg.norm(u) + np.linalg.norm(b)
-    return resid <= rtol * scale
+    resid = _norm(a @ u - b)
+    return resid <= rtol * (_norm(a) * _norm(u) + _norm(b))
+
+
+def _norm(x) -> float:
+    v = x.ravel("K")  # np.linalg.norm's own formula, without its dispatch
+    return math.sqrt(v @ v)
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float):
@@ -213,7 +231,9 @@ def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float):
     except np.linalg.LinAlgError:
         chol = None
     else:
-        u = cho_solve((chol, True), b, check_finite=False)
+        u, info = dpotrs(chol, b, lower=1)
+        if info:
+            raise ValueError(f"dpotrs: illegal value in argument {-info}")
         if _solution_ok(a, b, u, 1e-8):
             return u, chol
     try:
@@ -234,15 +254,6 @@ def _solve_checked(a: np.ndarray, b: np.ndarray, penalty: float):
         f"factor-update system is singular (penalty={penalty}); "
         "a positive penalty keeps every update well-posed"
     )
-
-
-def _objective_parts(data: _Compressed, ins, outs):
-    """Squared residual norm and squared coefficient norm."""
-    s = data.x1 @ khatri_rao(list(reversed(ins)))
-    resid = data.y1 - s @ khatri_rao(list(reversed(outs))).T
-    sse = data.sse_offset + float(np.vdot(resid, resid))
-    bnorm2 = float(max(_gram_prod(list(ins) + list(outs)).sum(), 0.0))
-    return sse, bnorm2
 
 
 def _validate_pair(x, y):
@@ -289,9 +300,11 @@ def fit(
     ``min(N, prod(P))`` rows. Every objective value adds back the
     constant ``||Y_1 - Q Q^T Y_1||^2``, so the trace and
     ``residual_variance`` (divided by ``y.size``) are those of the full
-    data. Each factor update is one symmetric positive definite system,
-    solved by one Cholesky factorization; a system whose factorization
-    fails or whose solution does not pass the residual check goes to
+    data. A sweep updates every input factor, then every output factor,
+    and builds the products those updates share once. Each factor
+    update is one symmetric positive definite system, solved by one
+    Cholesky factorization; a system whose factorization fails or whose
+    solution does not pass the residual check goes to
     ``np.linalg.solve`` and then, with a positive penalty, to the
     minimum-norm least-squares solution.
 
@@ -321,19 +334,15 @@ def fit(
     ins, outs = _initial_factors(x, y, config, init)
     data = _compress(x, y)
 
-    sse, bnorm2 = _objective_parts(data, ins, outs)
+    sweeps = _sweeps(
+        data, ins, outs, config.penalty,
+        lambda a, rhs: _solve_checked(a, rhs, config.penalty)[0],
+    )
+    sse, bnorm2 = next(sweeps)
     trace = [sse + config.penalty * bnorm2]
     converged = False
     for _ in range(config.max_sweeps):
-        for l in range(len(ins)):
-            a, rhs = _input_system(data, ins, outs, l, config.penalty)
-            u, _ = _solve_checked(a, rhs, config.penalty)
-            ins[l] = u.reshape(config.rank, -1).T
-        for m in range(len(outs)):
-            a, rhs = _output_system(data, ins, outs, m, config.penalty)
-            vt, _ = _solve_checked(a, rhs, config.penalty)
-            outs[m] = vt.T
-        sse, bnorm2 = _objective_parts(data, ins, outs)
+        sse, bnorm2 = next(sweeps)
         trace.append(sse + config.penalty * bnorm2)
         prev, cur = trace[-2], trace[-1]
         if prev - cur <= config.tolerance * max(prev, np.finfo(float).tiny):
@@ -411,16 +420,16 @@ def gibbs_sample(
     conditional on the rest with an inverse-gamma draw of the noise
     variance, then emits a predictive sample (mean response plus noise)
     for every retained state. The fitted point estimate initializes the
-    chain. Like :func:`fit`, the chain works on the QR-compressed data,
-    with the residual outside the inputs' column space added to the
-    noise variance's rate, while its shape counts all ``y.size``
-    responses. One Cholesky factorization per conditional gives both
-    the conditional mean and, by a triangular solve, the coloured
-    noise; a conditional precision that is not positive definite
-    raises :class:`SingularSystemError`. ``burn_in`` defaults to a
-    quarter of the retained length, i.e. a fifth of all iterations; all
-    randomness derives from ``config.seed``, so repeated calls give
-    identical output.
+    chain. Like :func:`fit`, the chain runs the shared sweep on the
+    QR-compressed data, with the residual outside the inputs' column
+    space added to the noise variance's rate, while its shape counts
+    all ``y.size`` responses. One Cholesky factorization per
+    conditional gives both the conditional mean and, by a triangular
+    solve, the coloured noise; a conditional precision that is not
+    positive definite raises :class:`SingularSystemError`. ``burn_in``
+    defaults to a quarter of the retained length, i.e. a fifth of all
+    iterations; all randomness derives from ``config.seed``, so
+    repeated calls give identical output.
 
     Returns
     -------
@@ -458,15 +467,14 @@ def gibbs_sample(
     rng = np.random.default_rng((config.seed, 1))
     total = burn_in + n_samples * thin
     kept = []
+    # each draw reads the sigma2 of the sweep it belongs to
+    sweeps = _sweeps(
+        data, ins, outs, config.penalty,
+        lambda a, rhs: _draw(a, rhs, config.penalty, math.sqrt(sigma2), rng),
+    )
+    next(sweeps)
     for it in range(total):
-        for l in range(len(ins)):
-            a, rhs = _input_system(data, ins, outs, l, config.penalty)
-            u = _draw(a, rhs, config.penalty, math.sqrt(sigma2), rng)
-            ins[l] = u.reshape(config.rank, -1).T
-        for m in range(len(outs)):
-            a, rhs = _output_system(data, ins, outs, m, config.penalty)
-            outs[m] = _draw(a, rhs, config.penalty, math.sqrt(sigma2), rng).T
-        sse, bnorm2 = _objective_parts(data, ins, outs)
+        sse, bnorm2 = next(sweeps)
         shape = 0.5 * (y.size + (dim_eff if config.penalty > 0 else 0))
         rate = 0.5 * (sse + config.penalty * bnorm2)
         sigma2 = max(rate / rng.gamma(shape), 1e-300)

@@ -33,8 +33,7 @@ def khatri_rao(matrices: Sequence[np.ndarray]) -> np.ndarray:
     mats = [np.asarray(m) for m in matrices]
     if not mats:
         raise ValueError("khatri_rao needs at least one matrix")
-    cols = {m.shape[1] for m in mats if m.ndim == 2}
-    if any(m.ndim != 2 for m in mats) or len(cols) != 1:
+    if any(m.ndim != 2 or m.shape[1] != mats[0].shape[1] for m in mats):
         raise ValueError("khatri_rao expects matrices with a common column count")
     out = mats[0]
     for m in mats[1:]:

@@ -192,6 +192,30 @@ class TestWorkflow:
         doc = _check_manifest(Path(workspace["prefix"] + "summary.csv"))
         assert set(doc["outputs"]) == {"summary", "plot"}
 
+    def test_out_without_npz_suffix(self, workspace, tmp_path):
+        """An archive is written at the given path, not at ``path.npz``,
+        so its manifest can hash it and the next stage can read it."""
+        w = {k: str(v) for k, v in workspace.items()}
+        coll = tmp_path / "coll"
+        code = main([
+            "build", "--reference", w["reference"], "--out", str(coll),
+            "--rank", "3", "--penalty", "1.0", "--past", "1.0",
+            "--future", "0.3", "--model-stride", "4", "--max-sweeps", "40",
+        ])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "coll", "coll.manifest.json",
+        ]
+        assert _check_manifest(coll)["outputs"]
+        assert _digest(coll) == _digest(workspace["collection"])
+        code = main([
+            "predict", "--collection", str(coll), "--reference", w["reference"],
+            "--skeleton", w["skeleton"], "--data", w["data"],
+            "--out", str(tmp_path / "pred"), "--horizons", "0.1,0.25",
+        ])
+        assert code == 0
+        assert (tmp_path / "pred").exists()
+
 
 class TestSweep:
     """Preset grids are pinned and the sweep trains all of them."""

@@ -190,6 +190,23 @@ class TestBuildCollection:
             assert entry.factors.output_shape == (2, 3)
             assert entry.factors.rank == cfg.regression.rank
 
+    def test_each_anchor_runs_the_traced_fit_once(self, pipeline, monkeypatch):
+        """Profilers wrap ``tensormotion.predictor.fit``: the build must
+        look the fit up there, once per anchor, and keep what it gives."""
+        ref, cfg, coll, _ = pipeline
+        original = tensormotion.predictor.fit
+        results = []
+
+        def counted(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(tensormotion.predictor, "fit", counted)
+        again = build_collection(ref, cfg)
+        assert len(results) == len(coll)
+        for entry, result in zip(again.entries, results):
+            assert entry.factors is result.factors
+
     def test_constant_reference_predicts_constant(self):
         level = 1.1
         seq = MotionSequence(

@@ -7,20 +7,30 @@ objective has a unique dense minimizer, so the alternating solver must
 land on the same tensor.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
 
 from tensormotion.regression import (
     FitResult,
     RegressionConfig,
     SingularSystemError,
+    _compress,
+    _initial_factors,
     _solve_checked,
     fit,
     gibbs_sample,
     objective,
     predict,
 )
-from tensormotion.tensor_ops import CpFactors, cp_reconstruct, frobenius_norm
+from tensormotion.tensor_ops import (
+    CpFactors,
+    cp_reconstruct,
+    frobenius_norm,
+    khatri_rao,
+)
 
 
 def _flat_ridge(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
@@ -232,6 +242,180 @@ class TestCompressedSolver:
         np.testing.assert_allclose(u, [0.5, 0.5], rtol=1e-12)
         with pytest.raises(SingularSystemError):
             _solve_checked(a, b, penalty=0.0)
+
+
+# The per-system sweep that the shared sweep replaced, kept as an oracle:
+# every system is built from scratch, each product as many times as a
+# system needs it, and solved by Cholesky through ``cho_solve``.
+
+
+def _oracle_gram_prod(mats):
+    rank = mats[0].shape[1]
+    gram = np.ones((rank, rank))
+    for m in mats:
+        gram *= m.T @ m
+    return gram
+
+
+def _oracle_input_system(data, ins, outs, skip, penalty):
+    rank = ins[0].shape[1]
+    p_l = ins[skip].shape[0]
+    rows = data.x1.shape[0]
+    others = [f for i, f in enumerate(ins) if i != skip]
+    z = data.input_unfoldings[skip] @ khatri_rao([np.ones((1, rank))] + others)
+    z = z.reshape(rows, p_l, rank).transpose(0, 2, 1).reshape(rows, rank * p_l)
+    wout = khatri_rao(list(reversed(outs)))
+    a = z.T @ z
+    blocks = a.reshape(rank, p_l, rank, p_l)
+    blocks *= (wout.T @ wout)[:, None, :, None]
+    if penalty:
+        diag = np.arange(p_l)
+        blocks[:, diag, :, diag] += penalty * _oracle_gram_prod(others + list(outs))
+    rhs = np.einsum("nrp,nr->rp", z.reshape(rows, rank, p_l), data.y1 @ wout)
+    return a, rhs.ravel()
+
+
+def _oracle_output_system(data, ins, outs, skip, penalty):
+    s = data.x1 @ khatri_rao(list(reversed(ins)))
+    others = [f for i, f in enumerate(outs) if i != skip]
+    dtd = s.T @ s
+    if others:
+        dtd = dtd * _oracle_gram_prod(others)
+    if penalty:
+        dtd = dtd + penalty * _oracle_gram_prod(list(ins) + others)
+    rhs = (data.output_unfoldings[skip] @ khatri_rao([s] + others)).T
+    return dtd, rhs
+
+
+def _oracle_objective_parts(data, ins, outs):
+    s = data.x1 @ khatri_rao(list(reversed(ins)))
+    resid = data.y1 - s @ khatri_rao(list(reversed(outs))).T
+    sse = data.sse_offset + float(np.vdot(resid, resid))
+    bnorm2 = float(max(_oracle_gram_prod(list(ins) + list(outs)).sum(), 0.0))
+    return sse, bnorm2
+
+
+def _oracle_solve(a, b):
+    """The Cholesky path of the solver; the cases below never leave it."""
+    chol = np.linalg.cholesky(a)
+    u = cho_solve((chol, True), b, check_finite=False)
+    resid = np.linalg.norm(a @ u - b)
+    scale = np.linalg.norm(a) * np.linalg.norm(u) + np.linalg.norm(b)
+    assert np.all(np.isfinite(u)) and resid <= 1e-8 * scale
+    return u, chol
+
+
+def _oracle_draw(a, rhs, sigma, rng):
+    mean, chol = _oracle_solve(a, rhs)
+    noise = solve_triangular(
+        chol, rng.standard_normal(mean.shape), trans="T", lower=True,
+        check_finite=False,
+    )
+    return mean + sigma * noise
+
+
+def _oracle_fit(x, y, config, init=None):
+    ins, outs = _initial_factors(x, y, config, init)
+    data = _compress(x, y)
+    sse, bnorm2 = _oracle_objective_parts(data, ins, outs)
+    trace = [sse + config.penalty * bnorm2]
+    for _ in range(config.max_sweeps):
+        for l in range(len(ins)):
+            a, rhs = _oracle_input_system(data, ins, outs, l, config.penalty)
+            ins[l] = _oracle_solve(a, rhs)[0].reshape(config.rank, -1).T
+        for m in range(len(outs)):
+            a, rhs = _oracle_output_system(data, ins, outs, m, config.penalty)
+            outs[m] = _oracle_solve(a, rhs)[0].T
+        sse, bnorm2 = _oracle_objective_parts(data, ins, outs)
+        trace.append(sse + config.penalty * bnorm2)
+        prev, cur = trace[-2], trace[-1]
+        if prev - cur <= config.tolerance * max(prev, np.finfo(float).tiny):
+            break
+    return np.asarray(trace), ins, outs, sse / y.size
+
+
+def _oracle_gibbs(x, y, config, x_new, n_samples):
+    burn_in = math.ceil(0.25 * n_samples)
+    _, ins, outs, variance = _oracle_fit(x, y, config)
+    data = _compress(x, y)
+    dim_eff = config.rank * (sum(x.shape[1:]) + sum(y.shape[1:]))
+    sigma2 = max(variance, 1e-12)
+    rng = np.random.default_rng((config.seed, 1))
+    kept = []
+    for it in range(burn_in + n_samples):
+        for l in range(len(ins)):
+            a, rhs = _oracle_input_system(data, ins, outs, l, config.penalty)
+            u = _oracle_draw(a, rhs, math.sqrt(sigma2), rng)
+            ins[l] = u.reshape(config.rank, -1).T
+        for m in range(len(outs)):
+            a, rhs = _oracle_output_system(data, ins, outs, m, config.penalty)
+            outs[m] = _oracle_draw(a, rhs, math.sqrt(sigma2), rng).T
+        sse, bnorm2 = _oracle_objective_parts(data, ins, outs)
+        shape = 0.5 * (y.size + (dim_eff if config.penalty > 0 else 0))
+        rate = 0.5 * (sse + config.penalty * bnorm2)
+        sigma2 = max(rate / rng.gamma(shape), 1e-300)
+        z = rng.standard_normal((x_new.shape[0],) + y.shape[1:])
+        if it >= burn_in:
+            coeff = cp_reconstruct(CpFactors(tuple(ins), tuple(outs)))
+            mean_new = np.tensordot(x_new, coeff, axes=x.ndim - 1)
+            kept.append(mean_new + math.sqrt(sigma2) * z)
+    return np.stack(kept)
+
+
+_IN_SHAPES = [(4,), (3, 2), (2, 2, 2)]
+_OUT_SHAPES = [(3,), (2, 2)]
+
+
+class TestSharedSweepIsBitIdentical:
+    """The shared sweep computes what the per-system sweep computed, in
+    the same order, so traces, factors and draws match it bit for bit."""
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("penalty", [0.0, 2.0])
+    @pytest.mark.parametrize("out_shape", _OUT_SHAPES, ids=["out1", "out2"])
+    @pytest.mark.parametrize(
+        "in_shape", _IN_SHAPES, ids=["in1", "in2", "in3"]
+    )
+    def test_fit(self, in_shape, out_shape, penalty, warm):
+        rng = np.random.default_rng(44)
+        # 40 observations against at most 8 input entries: well posed
+        # even without a penalty
+        x, y, _ = _random_problem(rng, 40, in_shape, out_shape, rank=2)
+        config = RegressionConfig(
+            rank=2, penalty=penalty, max_sweeps=25, tolerance=1e-15, seed=12
+        )
+        init = None
+        if warm:
+            init = CpFactors(
+                tuple(rng.standard_normal((p, 2)) for p in in_shape),
+                tuple(rng.standard_normal((q, 2)) for q in out_shape),
+            )
+        got = fit(x, y, config, init=init)
+        trace, ins, outs, variance = _oracle_fit(x, y, config, init)
+        # all 25 sweeps run, except for the matrix case, which meets the
+        # tolerance after 5 or 6; equal traces also pin that stop
+        np.testing.assert_array_equal(got.objective_trace, trace)
+        for a, b in zip(
+            got.factors.input_factors + got.factors.output_factors, ins + outs
+        ):
+            np.testing.assert_array_equal(a, b)
+        assert got.residual_variance == variance
+
+    @pytest.mark.parametrize("penalty", [0.0, 2.0])
+    @pytest.mark.parametrize("out_shape", _OUT_SHAPES, ids=["out1", "out2"])
+    @pytest.mark.parametrize(
+        "in_shape", _IN_SHAPES, ids=["in1", "in2", "in3"]
+    )
+    def test_gibbs_chain(self, in_shape, out_shape, penalty):
+        rng = np.random.default_rng(45)
+        x, y, _ = _random_problem(rng, 40, in_shape, out_shape, rank=2)
+        config = RegressionConfig(
+            rank=2, penalty=penalty, max_sweeps=25, tolerance=1e-15, seed=13
+        )
+        got = gibbs_sample(x, y, config, x[:3], n_samples=20)
+        np.testing.assert_array_equal(
+            got, _oracle_gibbs(x, y, config, x[:3], n_samples=20)
+        )
 
 
 class TestFitBehavior:

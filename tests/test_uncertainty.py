@@ -13,6 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tensormotion.regression
+import tensormotion.uncertainty
 from tensormotion.cycles import ReferenceCycle, build_reference
 from tensormotion.kinematics import (
     SPACE_JOINT_ANGLE,
@@ -275,6 +277,28 @@ class TestPosteriorPredictive:
         assert a.n_samples == 25
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
+
+    def test_runs_the_traced_call_chain(self, problem, monkeypatch):
+        """Profilers wrap these module attributes: a posterior reaches the
+        sampler once, and the sampler reaches the fit once and the
+        reconstruction once per kept sample."""
+        x, y, config = problem
+        calls = []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(tensormotion.uncertainty, "gibbs_sample")
+        count(tensormotion.regression, "fit")
+        count(tensormotion.regression, "cp_reconstruct")
+        posterior_predictive(x, y, config, x[:3], n_samples=7, burn_in=2, thin=3)
+        assert calls == ["gibbs_sample", "fit"] + ["cp_reconstruct"] * 7
 
     def test_invalid_credibility_rejected(self, problem):
         x, y, config = problem
