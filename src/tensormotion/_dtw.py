@@ -10,13 +10,14 @@ vectorized min-plus row scan. Both compute the cost of cell ``(i, j)``
 from coordinate differences, so aligning a sequence with itself yields
 an exactly zero diagonal on every path.
 
-A caller that already holds the cost rows can pass them in: the rows of
-``cdist`` are independent, so a row computed for an earlier query that
-shared the frame is bit-identical to the one a cold call would compute.
-The online predictor keeps such rows in a ring across updates and hands
-them over oldest first as a list of row views; the row scan reads any
-sequence of rows and runs its ufuncs in place on two scratch rows, so
-the rows are never copied into one matrix.
+A caller that already holds the cost rows can pass them in: ``cdist``
+is pair-local, so a cell computed for an earlier query that shared the
+frame, or over a slice of the reference, is bit-identical to the one a
+cold call would compute. The online predictor keeps its rows in a
+:class:`CostRows` ring across updates. Against references of at least
+``_PRUNE_MIN_WIDTH`` frames the ring computes a cell only when the
+warping reads it; below that width every row is computed in full when
+its frame arrives.
 
 A caller that reads only the last row's argmin, as the phase lookup
 does, can ask for a pruned scan (PrunedDTW, Silva & Batista, SDM 2016;
@@ -31,7 +32,10 @@ slack of the minimum hands the decision to the full scan, so the
 located index is exactly the full matrix's. The pruned scan runs only
 on open-begin alignments against references of at least
 ``_PRUNE_MIN_WIDTH`` frames, and only when some diagonal stands out
-from the rest: elsewhere its fixed cost would not pay off.
+from the rest: elsewhere its fixed cost would not pay off. It reads its
+costs from a :class:`CostRows`: a cold call wraps its complete matrix
+in one, the online ring fills the missing cells of each read, so one
+scan serves both and their matrices are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import math
 from itertools import accumulate, islice
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 __all__ = ["accumulated_cost", "active_backend", "warmup"]
@@ -51,11 +56,13 @@ __all__ = ["accumulated_cost", "active_backend", "warmup"]
 # one up to 32-45 reference frames.
 _SCALAR_MAX_WIDTH = 32
 
-# Narrowest reference for which ``prune=True`` runs the pruned scan.
-# Below it the pruned scan's fixed cost (row minima, the diagonal bound,
+# Narrowest reference for which ``prune=True`` runs the pruned scan, and
+# for which the online ring computes cells on demand. Below it the pruned
+# lookup's fixed cost (a k-d tree query per new frame, the diagonal bound,
 # a dozen numpy calls per row) outweighs the cells it skips. On a 2-vCPU
-# Xeon VM (240 query frames of the ``stream`` benchmark) the two broke
-# even near 1500 reference frames.
+# Xeon VM (an online update of the ``stream`` benchmark's windows, cropped
+# around the match) the pruned lookup took 1.28, 1.13, 0.99 and 0.88 times
+# the full one's median time at 720, 1000, 1250 and 1500 columns.
 _PRUNE_MIN_WIDTH = 1500
 
 # The pruning bound: candidate diagonals, and the row stride of the
@@ -71,6 +78,131 @@ _EXTEND_CHUNK = 64
 # reversed in time, which still prune; it was 0.7 on uniform noise and 1
 # on a constant cost, which prune nothing.
 _SHARP_SCORE = 0.5
+
+# Columns a lazy ring computes on each side of the nearest reference
+# frames of the frames it admits. The scan reads a median 170-420
+# columns of a row as its frame ages in the window, and each later
+# ``cdist`` call costs 5-6 us before any work, as much as ~400 cells. On
+# the ``stream`` benchmark's updates (seeds 11 and 23) margins of 200 and
+# 300 gave the lowest median lookup time; 100 and 600 were 0.2-0.4 ms
+# slower, with more calls or more cells.
+_ADMIT_MARGIN = 300
+
+
+class CostRows:
+    """The cost rows of a query window, computed as the warping reads them.
+
+    Row ``i`` holds the distances from query frame ``i``, oldest first, to
+    every reference frame. Each row stores its frame, the interval of
+    columns computed so far and, once known, its exact minimum. Reads go
+    through :meth:`span`, ``rows[i]`` (the full row), :meth:`at` and
+    :meth:`floors`; a read computes the missing columns first, so a row's
+    interval grows as one contiguous hull.
+
+    Given ``cells``, a complete ``(rows, reference frames)`` matrix, every
+    row counts as computed. Otherwise the rows form a ring that
+    :meth:`admit` fills. Against references of at least
+    ``_PRUNE_MIN_WIDTH`` frames it keeps a k-d tree of the reference and
+    computes only the columns within ``_ADMIT_MARGIN`` of the new frames'
+    nearest reference frames; narrower references get full rows, as the
+    full scan reads all of them.
+    """
+
+    def __init__(self, reference: np.ndarray, n_rows: int, cells=None):
+        self.reference = reference
+        self.width = len(reference)
+        complete = cells is not None
+        self.cells = cells if complete else np.empty((n_rows, self.width))
+        self.frames = np.empty((n_rows, reference.shape[1]))
+        self.lo = [0] * n_rows
+        self.hi = [self.width if complete else 0] * n_rows
+        self.floor = np.full(n_rows, np.nan)
+        lazy = not complete and self.width >= _PRUNE_MIN_WIDTH
+        self.tree = cKDTree(reference) if lazy else None
+        self.order = list(range(n_rows))  # the slot of each row
+        self.admitted = 0
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.span(i, 0, self.width)
+
+    def __iter__(self):
+        return iter(self.filled())
+
+    def admit(self, new: np.ndarray) -> None:
+        """Replace the oldest rows with those of the ``new`` frames."""
+        n_rows = len(self.order)
+        slots = [(self.admitted + k) % n_rows for k in range(len(new))]
+        self.admitted += len(new)
+        oldest = self.admitted % n_rows
+        self.order = [*range(oldest, n_rows), *range(oldest)]
+        self.frames[slots] = new
+        a, b, known = 0, self.width, None
+        if self.tree is not None:
+            dist, near = self.tree.query(new, k=2)
+            nearest = near[:, 0]
+            a = max(int(nearest.min()) - _ADMIT_MARGIN, 0)
+            b = min(int(nearest.max()) + 1 + _ADMIT_MARGIN, b)
+            # A frame's nearest cell is its row's minimum, bit for bit, when
+            # the second nearest is farther by more than both routines'
+            # rounding. With u = eps / 2 and C channels, cdist's distance is
+            # within (C + 4) u / 2 of the exact one, relatively. The tree sums
+            # the same squares in its own order and tracks each subtree's
+            # distance by adding and subtracting one term per level, at most
+            # 64 levels, so the distances it returns or prunes by are within
+            # (C + 200) u. The nearest cell is then below every other cell
+            # when the two tree distances differ by more than 4 (C + 200) u
+            # of the larger; tiny covers subnormal results.
+            gap = 2 * (new.shape[1] + 200) * np.finfo(float).eps
+            known = dist[:, 1] - dist[:, 0] > gap * dist[:, 1] + np.finfo(float).tiny
+        self.cells[slots, a:b] = cdist(new, self.reference[a:b])
+        for s in slots:
+            self.lo[s], self.hi[s] = a, b
+        self.floor[slots] = (
+            np.nan if known is None
+            else np.where(known, self.cells[slots, nearest], np.nan)
+        )
+
+    def span(self, i: int, a: int, b: int) -> np.ndarray:
+        """Row ``i`` with at least its columns ``a .. b - 1`` computed."""
+        s = self.order[i]
+        frame, lo, hi = self.frames[s : s + 1], self.lo[s], self.hi[s]
+        if a < lo:
+            cdist(frame, self.reference[a:lo], out=self.cells[s : s + 1, a:lo])
+            self.lo[s] = a
+        if b > hi:
+            cdist(frame, self.reference[hi:b], out=self.cells[s : s + 1, hi:b])
+            self.hi[s] = b
+        return self.cells[s]
+
+    def at(self, cols: np.ndarray) -> np.ndarray:
+        """The cells ``(i, cols[i, k])`` of every row ``i``."""
+        slots = np.array(self.order)
+        lo = np.array(self.lo)[slots]
+        hi = np.array(self.hi)[slots]
+        first, last = cols.min(axis=1), cols.max(axis=1)
+        for i in np.flatnonzero((first < lo) | (last >= hi)).tolist():
+            self.span(i, int(first[i]), int(last[i]) + 1)
+        return self.cells[slots[:, None], cols]
+
+    def floors(self) -> np.ndarray:
+        """The minimum of every row, from the full row where not known."""
+        slots = np.array(self.order)
+        for i in np.flatnonzero(np.isnan(self.floor[slots])).tolist():
+            self.floor[slots[i]] = np.minimum.reduce(self[i])
+        return self.floor[slots]
+
+    def filled(self) -> list:
+        """Every row, fully computed, oldest first; one ``cdist`` call
+        computes the rows that are not."""
+        todo = [s for s in self.order if self.lo[s] or self.hi[s] < self.width]
+        if todo:
+            self.cells[todo] = cdist(self.frames[todo], self.reference)
+            for s in todo:
+                self.lo[s], self.hi[s] = 0, self.width
+        return [self.cells[s] for s in self.order]
 
 
 def _scalar_recurrence(cost: list, open_begin: bool) -> np.ndarray:
@@ -125,13 +257,14 @@ def _row_scan(cost, open_begin: bool) -> np.ndarray:
 def _limits(cost, reach: float) -> tuple[list, float] | None:
     """Per-row pruning limits and the rounding tolerance ``tol``.
 
-    ``reach`` bounds every cost. The bound ``U`` is the cheapest of
-    ``_BOUND_CANDIDATES`` pure-diagonal paths, picked by their cost on
-    every ``_BOUND_ROW_STEP``-th row. Row ``i`` keeps its cells up to
+    ``cost`` is a :class:`CostRows`; ``reach`` bounds every cost. The
+    bound ``U`` is the cheapest of ``_BOUND_CANDIDATES`` pure-diagonal
+    paths, picked by their cost on every ``_BOUND_ROW_STEP``-th row, which
+    is read in full. Row ``i`` keeps its cells up to
     ``U + tol - sum_{i' > i} min(cost[i'])``. ``None`` if no diagonal
     stands out (see ``_SHARP_SCORE``).
     """
-    n_q, n_r = len(cost), len(cost[0])
+    n_q, n_r = len(cost), cost.width
     width = n_r - n_q + 1
     score = np.zeros(width)
     for i in range(0, n_q, _BOUND_ROW_STEP):
@@ -140,12 +273,9 @@ def _limits(cost, reach: float) -> tuple[list, float] | None:
         return None
     k = min(_BOUND_CANDIDATES, width)
     cols = np.argpartition(score, k - 1)[:k] + np.arange(n_q)[:, None]
-    diagonal = np.zeros(k)
-    floors = np.empty(n_q)
-    for i, (row, c) in enumerate(zip(cost, cols)):
-        floors[i] = np.minimum.reduce(row)
-        diagonal += row[c]
-    bound = diagonal.min()
+    # summed row by row, as a loop over the rows would
+    bound = np.add.reduce(cost.at(cols), axis=0).min()
+    floors = cost.floors()
     # Rounding (eps = 2u). A computed cell is the rounded cost of one
     # warping path. In each row the path's value passes through at most
     # three roundings of numbers below v + S, where v is the cell's value
@@ -166,7 +296,7 @@ def _limits(cost, reach: float) -> tuple[list, float] | None:
     return limits.tolist(), float(tol)
 
 
-def _pruned_scan(cost, reach: float) -> np.ndarray:
+def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
     """Open-begin row scan over the cells that can reach the best match.
 
     Costs are non-negative, so a path through a cell above its row's
@@ -174,7 +304,8 @@ def _pruned_scan(cost, reach: float) -> np.ndarray:
     minima. Row ``i`` is computed from the first to one past the last
     live cell of row ``i - 1`` (every other row reuses the previous
     span instead of trimming it), then extended rightward while it stays
-    within its limit; the cells it skips are ``inf``. A span wider than
+    within its limit; the cells it skips are ``inf``, and of each row it
+    reads only the costs it computes. A span wider than
     half the row, or a full previous row with both ends live, is
     computed at full width, and where no diagonal stands out the full
     scan runs from the start.
@@ -192,18 +323,17 @@ def _pruned_scan(cost, reach: float) -> np.ndarray:
     if bounds is None:
         return _row_scan(cost, True)
     limits, tol = bounds
-    n_q, n_r = len(cost), len(cost[0])
+    n_q, n_r = len(cost), cost.width
     acc = np.empty((n_q, n_r))
     acc[0] = cost[0]
     enter = np.empty(n_r)
     s = np.empty(n_r)
     lo, hi = 0, n_r  # the cells of the previous row that were computed
     narrowed = False
-    rows = islice(cost, 1, None)
-    for i, (prev, out, row) in enumerate(zip(acc, acc[1:], rows), 1):
+    for i, (prev, out) in enumerate(zip(acc, acc[1:]), 1):
         limit = limits[i - 1]
         if hi - lo == n_r and prev[0] <= limit and prev[-1] <= limit:
-            _full_row(prev, row, out, enter, s)
+            _full_row(prev, cost[i], out, enter, s)
             continue
         if i & 1 or hi - lo == n_r:
             live = prev[lo:hi] <= limit
@@ -215,9 +345,10 @@ def _pruned_scan(cost, reach: float) -> np.ndarray:
         else:
             a, b = lo, min(hi + 1, n_r)
         if 2 * (b - a) > n_r:
-            _full_row(prev, row, out, enter, s)
+            _full_row(prev, cost[i], out, enter, s)
             lo, hi = 0, n_r
             continue
+        row = cost.span(i, a, b)
         # the row scan on columns a..b-1 with running sums from column a:
         # out[j] = min_{a<=k<=j} enter[k] - s[k - 1] + s[j], s[a - 1] = 0
         e, run, seg = enter[a:b], s[a:b], out[a:b]
@@ -234,7 +365,7 @@ def _pruned_scan(cost, reach: float) -> np.ndarray:
         # beyond b only rightward steps remain: out[j] = least + s[j]
         while hi < n_r and out[hi - 1] <= limits[i]:
             end = min(hi + _EXTEND_CHUNK, n_r)
-            s[hi:end] = row[hi:end]
+            s[hi:end] = cost.span(i, hi, end)[hi:end]
             np.add.accumulate(s[hi - 1 : end], out=s[hi - 1 : end])
             np.add(least, s[hi:end], out=out[hi:end])
             hi = end
@@ -256,7 +387,7 @@ def active_backend() -> str:
 
     Kept only because the benchmark harness records it in its
     environment line; it goes once the harness states the
-    implementation itself (ROADMAP item 6).
+    implementation itself (ROADMAP items 5(g) and 7).
     """
     return "numpy"
 
@@ -277,11 +408,17 @@ def accumulated_cost(
     the first row carries no accumulated prefix.
 
     ``cost``, if given, holds those distances already: a
-    ``(query frames, reference frames)`` array or a sequence of that many
-    rows, such as views into a ring of rows kept across calls, and
-    ``cdist`` is skipped; rows that ``cdist`` computed for the same frame
-    pair are bit-identical, so the result is too. The full matrix is
-    returned either way.
+    ``(query frames, reference frames)`` array, a sequence of that many
+    rows, or a :class:`CostRows` of the query's frames, such as the ring
+    that the online predictor keeps across calls, and ``cdist`` is
+    skipped. Cells that ``cdist`` computed for the same frame pair are
+    bit-identical, so the result is too. A :class:`CostRows` computes its
+    missing cells as they are read: the pruned scan below reads the full
+    rows of its coarse score, the cells of its candidate diagonals and
+    the span it keeps live in each row, and takes the row minima the ring
+    knows exactly from the frames' nearest reference frames. Every other
+    path, and every fallback of the pruned scan to the full one, first
+    computes every row in full. The full matrix is returned either way.
 
     ``prune`` serves callers that read only the last row's argmin. With
     ``open_begin`` and at least ``_PRUNE_MIN_WIDTH`` reference frames
@@ -306,8 +443,11 @@ def accumulated_cost(
         raise ValueError("query and reference must be non-empty")
     if cost is None:
         cost = cdist(query, reference)
-    elif len(cost) != query.shape[0] or any(
-        np.shape(row) != reference.shape[:1] for row in cost
+    elif (
+        (len(cost), cost.width) != (query.shape[0], reference.shape[0])
+        if isinstance(cost, CostRows)
+        else len(cost) != query.shape[0]
+        or any(np.shape(row) != reference.shape[:1] for row in cost)
     ):
         raise ValueError(
             f"cost must hold {query.shape[0]} rows of {reference.shape[0]} "
@@ -321,6 +461,8 @@ def accumulated_cost(
         reach = math.sqrt(query.shape[1]) * sum(
             max(x.max(), -x.min()) for x in (query, reference)
         )
+        if not isinstance(cost, CostRows):
+            cost = CostRows(reference, n_q, cells=np.asarray(cost))
         return _pruned_scan(cost, float(reach))
     return _row_scan(cost, bool(open_begin))
 

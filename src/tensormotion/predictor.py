@@ -18,8 +18,8 @@ import logging
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from tensormotion._dtw import CostRows
 from tensormotion.alignment import locate_in_reference
 from tensormotion.cycles import ReferenceCycle, extend_reference
 from tensormotion.io import DataFormatError, load_archive, save_archive
@@ -327,21 +327,6 @@ def predict_window(
     ]
 
 
-def _write_cost_rows(
-    ring: np.ndarray, end: int, new: np.ndarray, reference: np.ndarray
-) -> None:
-    """Store the cost rows of stream frames ``end - len(new) .. end - 1``.
-
-    Frame ``f`` owns ring slot ``f % len(ring)``; a write that runs past
-    the last slot continues at the first.
-    """
-    start = (end - len(new)) % len(ring)
-    head = min(len(new), len(ring) - start)
-    cdist(new[:head], reference, out=ring[start : start + head])
-    if head < len(new):
-        cdist(new[head:], reference, out=ring[: len(new) - head])
-
-
 def run_online(
     stream,
     reference: ReferenceCycle,
@@ -372,20 +357,27 @@ def run_online(
     :func:`predict_window` at the same stream positions reproduces the
     batches exactly.
 
-    The phase lookup keeps a ring of ``past_frames`` cost rows, one per
-    frame in the window, each holding the distances from that frame's
-    angles to every frame of the extended reference. An update computes
-    only the rows of the frames that arrived since the previous one and
-    hands the ring to the warping oldest row first. This is exact: the
-    angle transform treats each frame on its own and each cost row
-    depends on its frame alone, so a kept row is bit for bit the row a
-    cold lookup on the same window computes.
+    The phase lookup keeps a ring of ``past_frames`` cost rows
+    (:class:`~tensormotion._dtw.CostRows`), one per frame in the window,
+    each holding distances from that frame's angles to frames of the
+    extended reference. An update admits the frames that arrived since
+    the previous one and hands the ring to the warping. On an extended
+    reference of at least ``_PRUNE_MIN_WIDTH`` frames a new row holds
+    only the columns near its frame's nearest reference frames, found in
+    a k-d tree built once per stream; the pruned scan computes any other
+    cell it reads when it reads it, and full rows where it falls back to
+    the full scan. The tree also gives each row's exact minimum where the
+    nearest frame is unique beyond rounding; elsewhere the minimum comes
+    from the full row. On narrower references, where the full scan reads
+    every cell, a new row is computed in full at once. This is exact: the
+    angle transform treats each frame on its own and each cost cell
+    depends on its frame pair alone, so a kept cell is bit for bit the
+    cell a cold lookup on the same window computes.
     """
     cfg = collection.config
     past = cfg.past_frames
     ext = extend_reference(reference, past)
-    ext_flat = ext.frames.reshape(ext.n_frames, -1)
-    ring = np.empty((past, ext.n_frames))
+    ring = CostRows(ext.frames.reshape(ext.n_frames, -1), past)
     joint_count = len(skeleton.joints)
     expected_dt = 1.0 / cfg.frame_rate
 
@@ -450,12 +442,8 @@ def run_online(
             )
             window, _ = to_joint_angles(cart, skeleton)
             fresh = min(count - scored, past)
-            _write_cost_rows(
-                ring, count, window.frames[-fresh:].reshape(fresh, -1), ext_flat
-            )
-            oldest = count % past
-            rows = [*ring[oldest:], *ring[:oldest]]
-            idx, factors = select_coefficient(window, ext, collection, cost=rows)
+            ring.admit(window.frames[-fresh:].reshape(fresh, -1))
+            idx, factors = select_coefficient(window, ext, collection, cost=ring)
             frames = predict_window(
                 window, factors, skeleton, cfg, model_index=idx,
                 root_policy=root_policy,

@@ -10,7 +10,9 @@ online lookup's channel count. Tie-break rules (earliest match column,
 diagonal-first backtracking) are pinned with literals. The pruned scan
 (``prune=True``) is checked against the full one: the located index on
 random inputs on both sides of its width switch, its worst cases, exact
-and near ties, and the cases where it must change nothing.
+and near ties, and the cases where it must change nothing. Fed by a
+lazily filled ``CostRows`` ring, it must give the cold call's matrix bit
+for bit on each of its paths.
 """
 
 import numpy as np
@@ -298,6 +300,109 @@ class TestPrunedScan:
             accumulated_cost(q, r, open_begin=True, cost=rows, prune=True),
             accumulated_cost(q, r, open_begin=True, prune=True),
         )
+
+
+class TestRingFedPrunedScan:
+    """A lazily filled ``CostRows`` ring gives the pruned matrix of a cold
+    call bit for bit on every path of the scan: where it prunes, where a
+    row's span covers over half the width, where it falls back to the full
+    scan, and where the nearest reference frame is not unique, so a row's
+    minimum must come from the full row."""
+
+    WIDTH = _dtw._PRUNE_MIN_WIDTH
+
+    @staticmethod
+    def _assert_ring_fed_equals_cold(q, r):
+        """Admit ``q`` in batches of 40 frames, as the online loop does,
+        and compare the matrices; return the ring."""
+        ring = _dtw.CostRows(r, len(q))
+        for start in range(0, len(q), 40):
+            ring.admit(q[start : start + 40])
+        assert ring.tree is not None
+        np.testing.assert_array_equal(
+            accumulated_cost(q, r, open_begin=True, cost=ring, prune=True),
+            accumulated_cost(q, r, open_begin=True, prune=True),
+        )
+        return ring
+
+    @staticmethod
+    def _partial(ring):
+        return any(b - a < ring.width for a, b in zip(ring.lo, ring.hi))
+
+    @pytest.mark.parametrize("case", ["constant", "noise", "reversed"])
+    def test_worst_cases(self, case):
+        """On a constant cost and on noise no diagonal stands out and the
+        full scan runs; a window reversed in time still prunes."""
+        rng = np.random.default_rng(91)
+        n_q, n_r = 120, self.WIDTH + 500
+        if case == "constant":
+            q, r = np.zeros((n_q, 2)), np.ones((n_r, 2))
+        elif case == "noise":
+            q, r = rng.random((n_q, 8)), rng.random((n_r, 8))
+        else:
+            r = np.cumsum(rng.standard_normal((n_r, 3)), axis=0)
+            q = r[700 : 700 + n_q][::-1].copy()
+        ring = self._assert_ring_fed_equals_cold(q, r)
+        assert self._partial(ring) == (case == "reversed")
+
+    @pytest.mark.parametrize("nudge", [0.0, 4.0, -4.0])
+    def test_ties(self, nudge):
+        rng = np.random.default_rng(92)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + 200, 3)), axis=0)
+        q = r[400:430].copy()
+        r[1200:1230] = q * (1 + nudge * np.finfo(float).eps)
+        self._assert_ring_fed_equals_cold(q, r)
+
+    def test_row_with_no_live_cell(self, monkeypatch):
+        """A limit below zero leaves no cell of its row live (costs are
+        non-negative), which sends the scan to the full one."""
+        limits = _dtw._limits
+
+        def cut(cost, reach):
+            rows, tol = limits(cost, reach)
+            rows[40] = -1.0
+            return rows, tol
+
+        monkeypatch.setattr(_dtw, "_limits", cut)
+        rng = np.random.default_rng(93)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + 300, 3)), axis=0)
+        q = r[500:620] + 0.3 * rng.standard_normal((120, 3))
+        ring = self._assert_ring_fed_equals_cold(q, r)
+        assert not self._partial(ring)
+
+    def test_span_over_half_the_width(self):
+        """Early rows of this window have live spans wider than half the
+        row, which the scan computes at full width; later rows prune."""
+        rng = np.random.default_rng(0)
+        r = np.cumsum(rng.standard_normal((self.WIDTH + 300, 3)), axis=0)
+        q = r[500:620] + 0.3 * rng.standard_normal((120, 3))
+        ring = self._assert_ring_fed_equals_cold(q, r)
+        full = [b - a == ring.width for a, b in zip(ring.lo, ring.hi)]
+        assert any(full[1:]) and not all(full)
+
+    def test_duplicated_reference_frames(self):
+        """The reference opens with a copy of 200 of its frames, as an
+        extended reference does, and the window starts inside the copied
+        stretch: those frames have no unique nearest reference frame, so
+        their rows' minima come from the full rows, and the scan still
+        prunes."""
+        rng = np.random.default_rng(94)
+        walk = np.cumsum(rng.standard_normal((self.WIDTH + 300, 3)), axis=0)
+        r = np.concatenate([walk[400:600], walk])
+        q = walk[500:620] + 0.2 * rng.standard_normal((120, 3))
+        ring = _dtw.CostRows(r, len(q))
+        ring.admit(q)
+        unknown = np.isnan(ring.floor)
+        assert unknown[:100].all() and not unknown[100:].any()
+        ring = self._assert_ring_fed_equals_cold(q, r)
+        assert not np.isnan(ring.floor).any()
+        assert self._partial(ring)
+
+    def test_ring_of_wrong_shape_rejected(self):
+        q = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="cost"):
+            ring = _dtw.CostRows(np.zeros((6, 2)), 3)
+            accumulated_cost(q, np.zeros((5, 2)), cost=ring)
 
 
 class TestDtwValidation:

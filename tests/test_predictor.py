@@ -11,7 +11,10 @@ was first seen to end the stream. The online lookup prunes its
 alignment, so every located column is compared with the argmin of a
 cold, unpruned one: on the small fixture with the prune width lowered,
 on a reference of the benchmark's ``stream`` size, and on random
-streams that leave the cycle.
+streams that leave the cycle. On the wide reference the cost-row ring
+computes cells only as the scan reads them, and a ring whose storage
+starts as NaN must give the same batches; on a narrow one it computes
+every row in full.
 """
 
 import json
@@ -699,6 +702,52 @@ class TestPrunedLookup:
         # the lookup really skips cells
         assert np.median(computed) < 0.5
 
+    def test_scan_reads_only_computed_cells(self, wide_stream, monkeypatch):
+        """Each ring slot is set to NaN before a new frame takes it, so a
+        read of a cell the ring never computed for that frame would carry
+        NaN into the matrix and the batches."""
+        ref, coll, sk, held = wide_stream
+        plain = list(run_online(iter(held), ref, coll, sk))
+        rings, located, matrices = [], [], []
+        locate = tensormotion.predictor.locate_in_reference
+        align = tensormotion.alignment.accumulated_cost
+
+        class Poisoned(_dtw.CostRows):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rings.append(self)
+
+            def admit(self, new):
+                for k in range(len(new)):
+                    self.cells[(self.admitted + k) % len(self)] = np.nan
+                super().admit(new)
+
+        def recorded_locate(*args, **kwargs):
+            index = locate(*args, **kwargs)
+            located.append((*args[:2], index))
+            return index
+
+        def recorded_align(*args, **kwargs):
+            acc = align(*args, **kwargs)
+            matrices.append(np.isnan(acc).any())
+            return acc
+
+        monkeypatch.setattr(tensormotion.predictor, "CostRows", Poisoned)
+        monkeypatch.setattr(
+            tensormotion.predictor, "locate_in_reference", recorded_locate
+        )
+        monkeypatch.setattr(tensormotion.alignment, "accumulated_cost", recorded_align)
+        batches, skipped = [], []
+        for batch in run_online(iter(held), ref, coll, sk):
+            batches.append(batch)
+            skipped.append(np.isnan(rings[0].cells).mean())
+        _assert_same_predictions(batches, plain)
+        _assert_located_as_unpruned(located)
+        assert len(matrices) == len(batches) and not any(matrices)
+        # the ring leaves most cells uncomputed
+        assert len(rings) == 1 and rings[0].tree is not None
+        assert np.median(skipped) > 0.5
+
     @settings(max_examples=25, deadline=None)
     @given(
         segments=st.lists(
@@ -745,6 +794,30 @@ class TestPrunedLookup:
             batches = list(run_online(iter(stream), ref, coll, sk))
         assert len(batches) == len(located) == (len(stream) - 15) // 4 + 1
         _assert_located_as_unpruned(located)
+
+
+class TestNarrowReferenceRing:
+    """Below the prune width the full scan reads every cell, so the ring
+    computes whole rows as frames arrive and builds no k-d tree."""
+
+    def test_every_row_is_computed_in_full(self, capture_stream, monkeypatch):
+        ref, coll, sk, held = capture_stream
+        past = coll.config.past_frames
+        rings = []
+
+        class Recorded(_dtw.CostRows):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rings.append(self)
+
+        monkeypatch.setattr(tensormotion.predictor, "CostRows", Recorded)
+        n = 0
+        for n, _ in enumerate(run_online(iter(held), ref, coll, sk), 1):
+            (ring,) = rings
+            assert ring.width == 720 < _dtw._PRUNE_MIN_WIDTH
+            assert ring.tree is None
+            assert ring.lo == [0] * past and ring.hi == [720] * past
+        assert n == (len(held) - past) // 60 + 1
 
 
 class TestNonFiniteFrames:
