@@ -16,8 +16,13 @@ frame, or over a slice of the reference, is bit-identical to the one a
 cold call would compute. The online predictor keeps its rows in a
 :class:`CostRows` ring across updates. Against references of at least
 ``_PRUNE_MIN_WIDTH`` frames the ring computes a cell only when the
-warping reads it; below that width every row is computed in full when
-its frame arrives.
+warping reads it. Below that width every row is computed in full when
+its frame arrives, once per frame. The cells of a head that repeats
+the reference's tail bit for bit (an extended reference's copied tail)
+are copied from their twins, again because ``cdist`` is pair-local, and
+the row's running sum, which the row scan needs, is kept with the row.
+That sum is the same sequential 1-D accumulate a cold scan runs, so the
+scan fed the kept sums is bit-identical to a cold one.
 
 A caller that reads only the last row's argmin, as the phase lookup
 does, can ask for a pruned scan (PrunedDTW, Silva & Batista, SDM 2016;
@@ -104,8 +109,12 @@ class CostRows:
     :meth:`admit` fills. Against references of at least
     ``_PRUNE_MIN_WIDTH`` frames it keeps a k-d tree of the reference and
     computes only the columns within ``_ADMIT_MARGIN`` of the new frames'
-    nearest reference frames; narrower references get full rows, as the
-    full scan reads all of them.
+    nearest reference frames. Narrower references get full rows, as the
+    full scan reads all of them: ``cdist`` runs only from column ``head``
+    on, where ``head`` frames at the start of the reference repeat its
+    last ``head`` frames bit for bit, and copies the head's cells from
+    their twins. Such a ring also keeps each row's running sum in
+    ``sums``, computed once when the row is admitted, for the row scan.
     """
 
     def __init__(self, reference: np.ndarray, n_rows: int, cells=None):
@@ -119,6 +128,9 @@ class CostRows:
         self.floor = np.full(n_rows, np.nan)
         lazy = not complete and self.width >= _PRUNE_MIN_WIDTH
         self.tree = cKDTree(reference) if lazy else None
+        full = not (complete or lazy)
+        self.sums = np.empty((n_rows, self.width)) if full else None
+        self.head = _repeated_head(reference) if full else 0
         self.order = list(range(n_rows))  # the slot of each row
         self.admitted = 0
 
@@ -140,7 +152,14 @@ class CostRows:
         self.order = [*range(oldest, n_rows), *range(oldest)]
         self.frames[slots] = new
         a, b, known = 0, self.width, None
-        if self.tree is not None:
+        if self.tree is None:
+            h = self.head
+            rows = np.empty((len(new), b))
+            rows[:, h:] = cdist(new, self.reference[h:])
+            rows[:, :h] = rows[:, b - h :]
+            self.cells[slots] = rows
+            self.sums[slots] = np.add.accumulate(rows, axis=1)
+        else:
             dist, near = self.tree.query(new, k=2)
             nearest = near[:, 0]
             a = max(int(nearest.min()) - _ADMIT_MARGIN, 0)
@@ -157,7 +176,7 @@ class CostRows:
             # of the larger; tiny covers subnormal results.
             gap = 2 * (new.shape[1] + 200) * np.finfo(float).eps
             known = dist[:, 1] - dist[:, 0] > gap * dist[:, 1] + np.finfo(float).tiny
-        self.cells[slots, a:b] = cdist(new, self.reference[a:b])
+            self.cells[slots, a:b] = cdist(new, self.reference[a:b])
         for s in slots:
             self.lo[s], self.hi[s] = a, b
         self.floor[slots] = (
@@ -205,6 +224,19 @@ class CostRows:
         return [self.cells[s] for s in self.order]
 
 
+def _repeated_head(reference: np.ndarray) -> int:
+    """Length of the longest head of ``reference`` that repeats, bit for
+    bit, as its tail, up to half its frames; an extended reference's is
+    the copied tail of its cycle."""
+    n = len(reference)
+    half = (n + 1) // 2
+    starts = np.flatnonzero((reference[half:] == reference[:1]).all(axis=1))
+    for k in (half + starts).tolist():
+        if reference[: n - k].tobytes() == reference[k:].tobytes():
+            return n - k
+    return 0
+
+
 def _scalar_recurrence(cost: list, open_begin: bool) -> np.ndarray:
     # acc[i, j] = cost[i, j] + min(up, diag, left), cell by cell
     prev = cost[0] if open_begin else list(accumulate(cost[0]))
@@ -224,14 +256,14 @@ def _scalar_recurrence(cost: list, open_begin: bool) -> np.ndarray:
     return np.array(flat).reshape(len(cost), len(prev))
 
 
-def _full_row(prev, row, out, enter, s) -> None:
+def _full_row(prev, row, s, out, enter) -> None:
     # entering column k from the previous row costs enter[k]; any
     # further steps continue rightward along this row, so
-    # out[j] = min_{k<=j} enter[k] + (s[j] - s[k]) with s = cumsum(row)
+    # out[j] = min_{k<=j} enter[k] + (s[j] - s[k]) with s = cumsum(row),
+    # which the caller passes in
     enter[0] = prev[0]
     np.minimum(prev[1:], prev[:-1], out=enter[1:])
     np.add(enter, row, out=enter)
-    np.add.accumulate(row, out=s)
     np.subtract(enter, s, out=enter)
     np.minimum.accumulate(enter, out=out)
     np.add(out, s, out=out)
@@ -249,8 +281,12 @@ def _row_scan(cost, open_begin: bool) -> np.ndarray:
         np.add.accumulate(first, out=acc[0])
     enter = np.empty(n_r)
     s = np.empty(n_r)
-    for prev, out, row in zip(acc, acc[1:], rows):
-        _full_row(prev, row, out, enter, s)
+    kept = cost.sums if isinstance(cost, CostRows) else None
+    for i, (prev, out, row) in enumerate(zip(acc, acc[1:], rows), 1):
+        if kept is None:
+            _full_row(prev, row, np.add.accumulate(row, out=s), out, enter)
+        else:
+            _full_row(prev, row, kept[cost.order[i]], out, enter)
     return acc
 
 
@@ -333,7 +369,8 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
     for i, (prev, out) in enumerate(zip(acc, acc[1:]), 1):
         limit = limits[i - 1]
         if hi - lo == n_r and prev[0] <= limit and prev[-1] <= limit:
-            _full_row(prev, cost[i], out, enter, s)
+            row = cost[i]
+            _full_row(prev, row, np.add.accumulate(row, out=s), out, enter)
             continue
         if i & 1 or hi - lo == n_r:
             live = prev[lo:hi] <= limit
@@ -345,7 +382,8 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
         else:
             a, b = lo, min(hi + 1, n_r)
         if 2 * (b - a) > n_r:
-            _full_row(prev, cost[i], out, enter, s)
+            row = cost[i]
+            _full_row(prev, row, np.add.accumulate(row, out=s), out, enter)
             lo, hi = 0, n_r
             continue
         row = cost.span(i, a, b)

@@ -357,22 +357,29 @@ def run_online(
     :func:`predict_window` at the same stream positions reproduces the
     batches exactly.
 
-    The phase lookup keeps a ring of ``past_frames`` cost rows
+    Each update computes only what the frames that arrived since the
+    previous one add. It converts just those frames to angles, in one
+    :func:`~tensormotion.kinematics.to_joint_angles` call, and shifts
+    them into the kept angle and root windows. The phase lookup keeps a
+    ring of ``past_frames`` cost rows
     (:class:`~tensormotion._dtw.CostRows`), one per frame in the window,
     each holding distances from that frame's angles to frames of the
-    extended reference. An update admits the frames that arrived since
-    the previous one and hands the ring to the warping. On an extended
-    reference of at least ``_PRUNE_MIN_WIDTH`` frames a new row holds
-    only the columns near its frame's nearest reference frames, found in
-    a k-d tree built once per stream; the pruned scan computes any other
-    cell it reads when it reads it, and full rows where it falls back to
-    the full scan. The tree also gives each row's exact minimum where the
-    nearest frame is unique beyond rounding; elsewhere the minimum comes
-    from the full row. On narrower references, where the full scan reads
-    every cell, a new row is computed in full at once. This is exact: the
-    angle transform treats each frame on its own and each cost cell
-    depends on its frame pair alone, so a kept cell is bit for bit the
-    cell a cold lookup on the same window computes.
+    extended reference. An update admits the new frames and hands the
+    ring to the warping. On an extended reference of at least
+    ``_PRUNE_MIN_WIDTH`` frames a new row holds only the columns near its
+    frame's nearest reference frames, found in a k-d tree built once per
+    stream; the pruned scan computes any other cell it reads when it
+    reads it, and full rows where it falls back to the full scan. The
+    tree also gives each row's exact minimum where the nearest frame is
+    unique beyond rounding; elsewhere the minimum comes from the full
+    row. On narrower references, where the full scan reads every cell, a
+    new row is computed in full at once: ``cdist`` runs over the cycle,
+    the duplicated head's cells are copied from the tail's, and the
+    row's running sum is kept for the scan. This is exact: the angle
+    transform treats each frame on its own, each cost cell depends on its
+    frame pair alone, and a kept running sum is the same sequential
+    accumulate the scan would run, so a kept window, cell or sum is bit
+    for bit the one a cold lookup on the same window computes.
     """
     cfg = collection.config
     past = cfg.past_frames
@@ -381,9 +388,10 @@ def run_online(
     joint_count = len(skeleton.joints)
     expected_dt = 1.0 / cfg.frame_rate
 
-    buffer: list[np.ndarray] = []
+    fresh: list[np.ndarray] = []  # frames accepted since the previous batch
+    angles = np.empty((0, len(skeleton.non_root_joints), 3))
+    roots = np.empty((0, 3))
     count = 0
-    scored = 0  # frames accepted up to the previous batch
     prev_time = None
     pending_gap = 0
     dropped = 0  # frames rejected for their stamps since the last accepted one
@@ -429,20 +437,27 @@ def run_online(
             )
             pending_gap += 1
             continue
-        buffer.append(frame)
-        if len(buffer) > past:
-            buffer.pop(0)
+        fresh.append(frame)
         count += 1
         if count >= past and (count - past) % cfg.update_stride_frames == 0:
             cart = MotionSequence(
-                frames=np.stack(buffer),
+                frames=np.stack(fresh),
                 frame_rate=cfg.frame_rate,
                 space=SPACE_CARTESIAN,
                 joint_names=skeleton.joints,
             )
-            window, _ = to_joint_angles(cart, skeleton)
-            fresh = min(count - scored, past)
-            ring.admit(window.frames[-fresh:].reshape(fresh, -1))
+            new, _ = to_joint_angles(cart, skeleton)
+            fresh.clear()
+            angles = np.concatenate([angles, new.frames])[-past:]
+            roots = np.concatenate([roots, new.root_track])[-past:]
+            window = MotionSequence(
+                frames=angles,
+                frame_rate=cfg.frame_rate,
+                space=SPACE_JOINT_ANGLE,
+                joint_names=new.joint_names,
+                root_track=roots,
+            )
+            ring.admit(new.frames.reshape(new.n_frames, -1))
             idx, factors = select_coefficient(window, ext, collection, cost=ring)
             frames = predict_window(
                 window, factors, skeleton, cfg, model_index=idx,
@@ -455,7 +470,6 @@ def run_online(
                 gap_frames=pending_gap,
             )
             pending_gap = 0
-            scored = count
 
 
 def save_collection(collection: CoefficientCollection, path) -> None:

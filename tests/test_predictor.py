@@ -14,7 +14,12 @@ on a reference of the benchmark's ``stream`` size, and on random
 streams that leave the cycle. On the wide reference the cost-row ring
 computes cells only as the scan reads them, and a ring whose storage
 starts as NaN must give the same batches; on a narrow one it computes
-every row in full.
+every row in full. An update computes only what its new frames add: the
+narrow ring sums each row once, on admission, and the scan fed those
+sums equals a cold one; it computes only the cycle's columns and copies
+the extended reference's head from them, and every row equals a cold
+``cdist``; the loop converts only the new frames to angles, and every
+window equals the conversion of the last ``past_frames`` frames.
 """
 
 import json
@@ -27,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import tensormotion.alignment
 import tensormotion.predictor
@@ -818,6 +824,203 @@ class TestNarrowReferenceRing:
             assert ring.tree is None
             assert ring.lo == [0] * past and ring.hi == [720] * past
         assert n == (len(held) - past) // 60 + 1
+
+
+class _CountingAdd:
+    """``np.add`` whose ``accumulate`` counts the rows it sums."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def accumulate(self, x, *args, **kwargs):
+        self.rows.append(1 if np.ndim(x) == 1 else len(x))
+        return np.add.accumulate(x, *args, **kwargs)
+
+
+class _CountingNumpy:
+    """numpy, with ``add`` replaced by a :class:`_CountingAdd`."""
+
+    def __init__(self, rows):
+        self.add = _CountingAdd(rows)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _recording(monkeypatch, base=_dtw.CostRows):
+    """Make the loop build its ring from a subclass of ``base`` that is
+    recorded in the returned list."""
+    rings = []
+
+    class Recorded(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rings.append(self)
+
+    monkeypatch.setattr(tensormotion.predictor, "CostRows", Recorded)
+    return rings
+
+
+class TestKeptRowSums:
+    """A ring of full rows sums each row once, when it is admitted, and
+    the full scan reads the kept sums instead of summing every row again
+    at every update."""
+
+    @pytest.mark.parametrize("offset", [0, 10, 37])
+    def test_sums_are_kept_once_and_scanned_exactly(
+        self, capture_stream, monkeypatch, offset
+    ):
+        ref, coll, sk, held = capture_stream
+        past = coll.config.past_frames
+        rings = _recording(monkeypatch)
+        summed, matrices = [], []
+        align = tensormotion.alignment.accumulated_cost
+
+        def recorded_align(*args, **kwargs):
+            acc = align(*args, **kwargs)
+            matrices.append(acc)
+            return acc
+
+        monkeypatch.setattr(tensormotion.alignment, "accumulated_cost", recorded_align)
+        monkeypatch.setattr(_dtw, "np", _CountingNumpy(summed))
+        n = 0
+        for n, _ in enumerate(run_online(iter(held[offset:]), ref, coll, sk), 1):
+            # the admission summed exactly its new rows, the scan none
+            assert sum(summed) == (past if n == 1 else 60)
+            (ring,) = rings
+            (acc,) = matrices
+            for s in range(past):
+                np.testing.assert_array_equal(
+                    ring.sums[s], np.add.accumulate(ring.cells[s])
+                )
+            cold = cdist(ring.frames[ring.order], ring.reference)
+            np.testing.assert_array_equal(acc, _dtw._row_scan(cold, True))
+            summed.clear()
+            matrices.clear()
+        assert n == (len(held) - offset - past) // 60 + 1
+
+
+class TestCycleWideAdmission:
+    """The extended reference opens with a copy of its cycle's tail, so a
+    full-row admission computes only the cycle's columns and copies the
+    head's cells from their twins."""
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_admitted_rows_equal_cold_rows(
+        self, capture_stream, monkeypatch, poisoned
+    ):
+        """With ``poisoned``, each slot is set to NaN before a new frame
+        takes it, so a cell or sum that the admission left unwritten
+        would show."""
+        ref, coll, sk, held = capture_stream
+        past = coll.config.past_frames
+
+        class Poisoned(_dtw.CostRows):
+            def admit(self, new):
+                for k in range(len(new)):
+                    slot = (self.admitted + k) % len(self)
+                    self.cells[slot] = self.sums[slot] = np.nan
+                super().admit(new)
+
+        rings = _recording(monkeypatch, Poisoned if poisoned else _dtw.CostRows)
+        widths = []
+        plain_cdist = _dtw.cdist
+
+        def recorded_cdist(a, b, *args, **kwargs):
+            widths.append(len(b))
+            return plain_cdist(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(_dtw, "cdist", recorded_cdist)
+        n = 0
+        for n, _ in enumerate(run_online(iter(held[10:]), ref, coll, sk), 1):
+            (ring,) = rings
+            assert ring.width == 720 and ring.head == past
+            cold = cdist(ring.frames, ring.reference)
+            np.testing.assert_array_equal(ring.cells, cold)
+            np.testing.assert_array_equal(ring.sums, np.add.accumulate(cold, axis=1))
+        # one cdist call per update, over the cycle's columns only
+        assert widths == [720 - past] * n
+
+    def test_reference_without_a_repeated_head(self, capture_stream):
+        """With the head's first frame nudged, no head repeats the tail
+        and every column is computed directly."""
+        ref, coll, _, _ = capture_stream
+        past = coll.config.past_frames
+        ext = extend_reference(ref, past)
+        r = ext.frames.reshape(ext.n_frames, -1).copy()
+        assert _dtw.CostRows(r, past).head == past
+        r[0, 0] = np.nextafter(r[0, 0], np.inf)
+        ring = _dtw.CostRows(r, past)
+        assert ring.head == 0
+        rng = np.random.default_rng(5)
+        q = r[300:540] + 0.01 * rng.standard_normal((past, r.shape[1]))
+        ring.admit(q)
+        np.testing.assert_array_equal(ring.cells, cdist(q, r))
+
+
+class TestIncrementalWindows:
+    """The loop converts only the frames that arrived since its previous
+    update and shifts them into kept angle and root windows; every
+    window equals the conversion of the last ``past_frames`` frames."""
+
+    @pytest.mark.parametrize("fault", [None, "nan", "backwards"])
+    def test_windows_equal_the_full_conversion(
+        self, capture_stream, monkeypatch, fault
+    ):
+        ref, coll, sk, held = capture_stream
+        past = coll.config.past_frames
+        frames = held[:1200].copy()
+        kept = frames
+        stream = iter(frames)
+        if fault == "nan":
+            frames[500, 3, 0] = np.nan
+            kept = np.delete(frames, 500, axis=0)
+            stream = iter(frames)
+        elif fault == "backwards":
+            times = np.arange(len(frames)) / 60.0
+            times[500] = times[497]
+            kept = np.delete(frames, 500, axis=0)
+            stream = zip(times, frames)
+        converted, windows = [], []
+        convert = tensormotion.predictor.to_joint_angles
+        select = tensormotion.predictor.select_coefficient
+
+        def recorded_convert(seq, skeleton):
+            converted.append(seq.frames.copy())
+            return convert(seq, skeleton)
+
+        def recorded_select(window, *args, **kwargs):
+            windows.append(window)
+            return select(window, *args, **kwargs)
+
+        monkeypatch.setattr(tensormotion.predictor, "to_joint_angles", recorded_convert)
+        monkeypatch.setattr(tensormotion.predictor, "select_coefficient", recorded_select)
+        previous = 0
+        n = 0
+        for n, batch in enumerate(run_online(stream, ref, coll, sk), 1):
+            end = batch.last_observed_frame + 1
+            # one conversion per update, of the frames since the last one
+            assert len(converted) == len(windows) == n
+            np.testing.assert_array_equal(converted[-1], kept[previous:end])
+            cart = MotionSequence(
+                frames=kept[end - past : end],
+                frame_rate=60.0,
+                space=SPACE_CARTESIAN,
+                joint_names=sk.joints,
+            )
+            full, _ = convert(cart, sk)
+            window = windows[-1]
+            assert window.joint_names == full.joint_names
+            np.testing.assert_array_equal(window.frames, full.frames)
+            np.testing.assert_array_equal(window.root_track, full.root_track)
+            previous = end
+        assert n == (len(kept) - past) // 60 + 1
 
 
 class TestNonFiniteFrames:
