@@ -10,14 +10,14 @@ vectorized min-plus row scan. Both compute the cost of cell ``(i, j)``
 from coordinate differences, so aligning a sequence with itself yields
 an exactly zero diagonal on every path.
 
-A caller that already holds the cost rows can pass them in: ``cdist``
-is pair-local, so a cell computed for an earlier query that shared the
-frame, or over a slice of the reference, is bit-identical to the one a
-cold call would compute. The online predictor keeps its rows in a
-:class:`CostRows` ring across updates. Against references of at least
-``_PRUNE_MIN_WIDTH`` frames the ring computes a cell only when the
-warping reads it. Below that width every row is computed in full when
-its frame arrives, once per frame. The cells of a head that repeats
+A caller that already holds the cost rows can pass them in, as a
+:class:`CostRows` ring: ``cdist`` is pair-local, so a cell computed for
+an earlier query that shared the frame, or over a slice of the
+reference, is bit-identical to the one a cold call would compute. The
+online predictor keeps its ring across updates. Against references of
+at least ``_PRUNE_MIN_WIDTH`` frames the ring computes a cell only when
+the warping reads it. Below that width every row is computed in full
+when its frame arrives, once per frame. The cells of a head that repeats
 the reference's tail bit for bit (an extended reference's copied tail)
 are copied from their twins, again because ``cdist`` is pair-local, and
 the row's running sum, which the row scan needs, is kept with the row.
@@ -38,9 +38,9 @@ located index is exactly the full matrix's. The pruned scan runs only
 on open-begin alignments against references of at least
 ``_PRUNE_MIN_WIDTH`` frames, and only when some diagonal stands out
 from the rest: elsewhere its fixed cost would not pay off. It reads its
-costs from a :class:`CostRows`: a cold call wraps its complete matrix
-in one, the online ring fills the missing cells of each read, so one
-scan serves both and their matrices are equal bit for bit.
+costs from a :class:`CostRows` ring, which a cold call fills with its
+whole query and the online loop with each update's new frames: one
+code path serves both, and their matrices are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -104,33 +104,31 @@ class CostRows:
     :meth:`floors`; a read computes the missing columns first, so a row's
     interval grows as one contiguous hull.
 
-    Given ``cells``, a complete ``(rows, reference frames)`` matrix, every
-    row counts as computed. Otherwise the rows form a ring that
-    :meth:`admit` fills. Against references of at least
-    ``_PRUNE_MIN_WIDTH`` frames it keeps a k-d tree of the reference and
-    computes only the columns within ``_ADMIT_MARGIN`` of the new frames'
-    nearest reference frames. Narrower references get full rows, as the
-    full scan reads all of them: ``cdist`` runs only from column ``head``
-    on, where ``head`` frames at the start of the reference repeat its
-    last ``head`` frames bit for bit, and copies the head's cells from
-    their twins. Such a ring also keeps each row's running sum in
-    ``sums``, computed once when the row is admitted, for the row scan.
+    The rows form a ring that :meth:`admit` fills: the online loop admits
+    each update's new frames, a cold pruned lookup its whole query at
+    once. Against references of at least ``_PRUNE_MIN_WIDTH`` frames it
+    keeps a k-d tree of the reference and computes only the columns
+    within ``_ADMIT_MARGIN`` of the new frames' nearest reference frames.
+    Narrower references get full rows, as the full scan reads all of
+    them: ``cdist`` runs only from column ``head`` on, where ``head``
+    frames at the start of the reference repeat its last ``head`` frames
+    bit for bit, and copies the head's cells from their twins. Such a
+    ring also keeps each row's running sum in ``sums``, computed once
+    when the row is admitted, for the row scan.
     """
 
-    def __init__(self, reference: np.ndarray, n_rows: int, cells=None):
+    def __init__(self, reference: np.ndarray, n_rows: int):
         self.reference = reference
         self.width = len(reference)
-        complete = cells is not None
-        self.cells = cells if complete else np.empty((n_rows, self.width))
+        self.cells = np.empty((n_rows, self.width))
         self.frames = np.empty((n_rows, reference.shape[1]))
         self.lo = [0] * n_rows
-        self.hi = [self.width if complete else 0] * n_rows
+        self.hi = [0] * n_rows
         self.floor = np.full(n_rows, np.nan)
-        lazy = not complete and self.width >= _PRUNE_MIN_WIDTH
+        lazy = self.width >= _PRUNE_MIN_WIDTH
         self.tree = cKDTree(reference) if lazy else None
-        full = not (complete or lazy)
-        self.sums = np.empty((n_rows, self.width)) if full else None
-        self.head = _repeated_head(reference) if full else 0
+        self.sums = None if lazy else np.empty((n_rows, self.width))
+        self.head = 0 if lazy else _repeated_head(reference)
         self.order = list(range(n_rows))  # the slot of each row
         self.admitted = 0
 
@@ -270,7 +268,7 @@ def _full_row(prev, row, s, out, enter) -> None:
 
 
 def _row_scan(cost, open_begin: bool) -> np.ndarray:
-    # ``cost`` is any sequence of equal-length 1-D rows
+    # ``cost`` is a cold call's (n_q, n_r) matrix or a CostRows ring
     rows = iter(cost)
     first = next(rows)
     n_r = len(first)
@@ -445,18 +443,17 @@ def accumulated_cost(
     With ``open_begin`` the query may start anywhere in the reference:
     the first row carries no accumulated prefix.
 
-    ``cost``, if given, holds those distances already: a
-    ``(query frames, reference frames)`` array, a sequence of that many
-    rows, or a :class:`CostRows` of the query's frames, such as the ring
-    that the online predictor keeps across calls, and ``cdist`` is
-    skipped. Cells that ``cdist`` computed for the same frame pair are
-    bit-identical, so the result is too. A :class:`CostRows` computes its
-    missing cells as they are read: the pruned scan below reads the full
-    rows of its coarse score, the cells of its candidate diagonals and
-    the span it keeps live in each row, and takes the row minima the ring
-    knows exactly from the frames' nearest reference frames. Every other
-    path, and every fallback of the pruned scan to the full one, first
-    computes every row in full. The full matrix is returned either way.
+    ``cost``, if given, is a :class:`CostRows` ring of the query's frames
+    against ``reference``, such as the one the online predictor keeps
+    across calls; anything else raises ``ValueError``. Without it, a
+    pruned scan (below) admits the query into a fresh ring and any other
+    call runs one ``cdist``. A ring computes its missing cells as they
+    are read: the pruned scan reads the full rows of its coarse score,
+    the cells of its candidate diagonals and the span it keeps live in
+    each row, and takes the row minima the ring knows exactly from the
+    frames' nearest reference frames. Every other path, and every
+    fallback of the pruned scan to the full one, first computes every
+    row in full. The full matrix is returned either way.
 
     ``prune`` serves callers that read only the last row's argmin. With
     ``open_begin`` and at least ``_PRUNE_MIN_WIDTH`` reference frames
@@ -479,28 +476,24 @@ def accumulated_cost(
         )
     if query.shape[0] < 1 or reference.shape[0] < 1:
         raise ValueError("query and reference must be non-empty")
-    if cost is None:
+    n_q, n_r = query.shape[0], reference.shape[0]
+    pruned = prune and open_begin and n_r >= max(n_q, _PRUNE_MIN_WIDTH)
+    if cost is None and pruned:
+        cost = CostRows(reference, n_q)
+        cost.admit(query)
+    elif cost is None:
         cost = cdist(query, reference)
-    elif (
-        (len(cost), cost.width) != (query.shape[0], reference.shape[0])
-        if isinstance(cost, CostRows)
-        else len(cost) != query.shape[0]
-        or any(np.shape(row) != reference.shape[:1] for row in cost)
-    ):
+    elif not isinstance(cost, CostRows) or (len(cost), cost.width) != (n_q, n_r):
         raise ValueError(
-            f"cost must hold {query.shape[0]} rows of {reference.shape[0]} "
-            "reference frames"
+            f"cost must be a CostRows of {n_q} rows of {n_r} reference frames"
         )
-    n_q, n_r = len(cost), reference.shape[0]
     if n_r <= _SCALAR_MAX_WIDTH:
         return _scalar_recurrence(np.asarray(cost).tolist(), bool(open_begin))
-    if prune and open_begin and n_r >= max(n_q, _PRUNE_MIN_WIDTH):
+    if pruned:
         # no distance exceeds the sum of the two frames' norms
         reach = math.sqrt(query.shape[1]) * sum(
             max(x.max(), -x.min()) for x in (query, reference)
         )
-        if not isinstance(cost, CostRows):
-            cost = CostRows(reference, n_q, cells=np.asarray(cost))
         return _pruned_scan(cost, float(reach))
     return _row_scan(cost, bool(open_begin))
 

@@ -127,13 +127,15 @@ def locate_in_reference(
     Both sequences must share space and joint layout; the window may not
     be longer than the reference. Runs a both-ends-open alignment and
     returns the reference index matched to the window's final frame.
-    ``cost``, if given, holds the window-to-reference frame distances
-    already and is passed on to :func:`accumulated_cost`.
+    ``cost``, if given, is the online predictor's ``CostRows`` ring of
+    the window's frames and is passed on to :func:`accumulated_cost`.
 
     Only the last row's argmin is read, so the alignment is pruned
     (``prune=True``): on references of at least ``_PRUNE_MIN_WIDTH``
     frames it skips the cells that cannot lie on a path to the best
-    match, and the index is exactly the one the full matrix gives.
+    match, and the index is exactly the one the full matrix gives. A
+    cold call admits the window into a fresh ring, as the online loop
+    admits its frames, so both run one code path.
     """
     if window.space != reference.space:
         raise ValueError(

@@ -252,8 +252,9 @@ def select_coefficient(
     warping. A match inside the duplicated head (before the first
     anchor) is mapped one cycle forward before the nearest-anchor
     lookup; ties between anchors go to the earlier one. ``cost``, if
-    given, holds the window-to-reference frame distances already (see
-    :func:`~tensormotion.alignment.accumulated_cost`).
+    given, is the :class:`~tensormotion._dtw.CostRows` ring of the
+    window's frames that :func:`run_online` keeps; a cold call fills a
+    fresh one (see :func:`~tensormotion.alignment.locate_in_reference`).
     """
     past = collection.config.past_frames
     matched = locate_in_reference(window, extended_reference, cost=cost)

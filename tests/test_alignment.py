@@ -4,15 +4,16 @@ The dynamic program is checked against exhaustive path enumeration
 (helpers.brute_distance) across endpoint-flag combinations. Its two
 forms (scalar recurrence for narrow references, row scan for wide ones)
 are checked on both sides of their size switch, also when the caller
-hands in the cost rows, as an array or as a rotated list of rows like
-the online predictor's ring, and against each other on inputs of the
-online lookup's channel count. Tie-break rules (earliest match column,
+hands in the cost rows as a ``CostRows`` ring, admitted at once or in
+batches as the online predictor's is, and against each other on inputs
+of the online lookup's channel count. Tie-break rules (earliest match column,
 diagonal-first backtracking) are pinned with literals. The pruned scan
 (``prune=True``) is checked against the full one: the located index on
 random inputs on both sides of its width switch, its worst cases, exact
-and near ties, and the cases where it must change nothing. Fed by a
-lazily filled ``CostRows`` ring, it must give the cold call's matrix bit
-for bit on each of its paths.
+and near ties, the cases where it must change nothing, and the share of
+cells a cold call computes. Fed by a ring admitted in batches, lazily
+filled or computed in full, it must give the cold call's matrix bit for
+bit on each of its paths.
 """
 
 import numpy as np
@@ -159,26 +160,41 @@ class TestNumpySizeSwitch:
     @pytest.mark.parametrize("open_begin", [False, True])
     @pytest.mark.parametrize("n_r", WIDTHS)
     def test_given_cost_matches_cold_call(self, n_r, open_begin, form):
+        """``array``: the query admitted as one batch into a fresh ring.
+        ``rows``: admitted in batches after older frames, so the ring's
+        rows are rotated."""
         rng = np.random.default_rng(81)
         scale = 10.0 ** rng.uniform(-3, 3, 27)
         q = rng.standard_normal((9, 27)) * scale
         r = rng.standard_normal((n_r, 27)) * scale
-        cost = cdist(q, r)
-        if form == "rows":
-            # oldest row first out of a ring whose oldest slot is 4
-            ring = np.roll(cost, 4, axis=0)
-            cost = [*ring[4:], *ring[:4]]
+        ring = _dtw.CostRows(r, len(q))
+        if form == "array":
+            ring.admit(q)
+            assert ring.order[0] == 0
+        else:
+            # four older frames first, so the window's oldest slot is 4
+            for batch in (rng.standard_normal((4, 27)), q[:5], q[5:]):
+                ring.admit(batch)
+            assert ring.order[0] == 4
         cold = accumulated_cost(q, r, open_begin=open_begin)
-        given = accumulated_cost(q, r, open_begin=open_begin, cost=cost)
+        given = accumulated_cost(q, r, open_begin=open_begin, cost=ring)
         np.testing.assert_array_equal(given, cold)
 
     @pytest.mark.parametrize("n_r", WIDTHS)
-    def test_given_cost_is_used(self, n_r):
-        q = np.ones((3, 2))
-        r = np.zeros((n_r, 2))
-        acc = accumulated_cost(q, r, open_begin=True, cost=np.zeros((3, n_r)))
-        assert acc.shape == (3, n_r)
-        assert np.all(acc == 0.0)
+    def test_given_cost_is_used(self, monkeypatch, n_r):
+        rng = np.random.default_rng(82)
+        q = rng.standard_normal((3, 2))
+        r = rng.standard_normal((n_r, 2))
+        cold = accumulated_cost(q, r, open_begin=True)
+        ring = _dtw.CostRows(r, len(q))
+        ring.admit(q)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("cdist called on a filled ring")
+
+        monkeypatch.setattr(_dtw, "cdist", unused)
+        acc = accumulated_cost(q, r, open_begin=True, cost=ring)
+        np.testing.assert_array_equal(acc, cold)
 
 
 class TestPrunedScan:
@@ -187,9 +203,9 @@ class TestPrunedScan:
     WIDTH = _dtw._PRUNE_MIN_WIDTH
 
     @staticmethod
-    def _pair(q, r, cost=None):
-        pruned = accumulated_cost(q, r, open_begin=True, cost=cost, prune=True)
-        full = accumulated_cost(q, r, open_begin=True, cost=cost)
+    def _pair(q, r):
+        pruned = accumulated_cost(q, r, open_begin=True, prune=True)
+        full = accumulated_cost(q, r, open_begin=True)
         return pruned, full
 
     @staticmethod
@@ -223,7 +239,7 @@ class TestPrunedScan:
             elif trial % 3 == 2:
                 q = 5 * scale * rng.standard_normal(q.shape)
             cost = cdist(q, r)
-            pruned, full = self._pair(q, r, cost)
+            pruned, full = self._pair(q, r)
             j = int(np.argmin(full[-1]))
             assert int(np.argmin(pruned[-1])) == j, trial
             best = full[-1, j]
@@ -247,6 +263,22 @@ class TestPrunedScan:
         pruned, full = self._pair(q, r)
         assert np.argmin(pruned[-1]) == np.argmin(full[-1])
         assert np.isfinite(pruned).mean() < 0.25
+
+    def test_cold_call_computes_only_the_cells_it_reads(self, monkeypatch):
+        """A cold call admits its query into a fresh ring, which computes
+        cells as the scan reads them, not the whole matrix."""
+        computed = []
+
+        def counted(a, b, **kwargs):
+            computed.append(len(a) * len(b))
+            return cdist(a, b, **kwargs)
+
+        rng = np.random.default_rng(93)
+        r = np.cumsum(rng.standard_normal((2 * self.WIDTH, 6)), axis=0)
+        q = r[900:1140] + 0.3 * rng.standard_normal((240, 6))
+        monkeypatch.setattr(_dtw, "cdist", counted)
+        accumulated_cost(q, r, open_begin=True, prune=True)
+        assert 0 < sum(computed) < 0.5 * q.shape[0] * r.shape[0]
 
     @pytest.mark.parametrize("case", ["constant", "noise", "reversed"])
     def test_worst_cases_keep_the_located_index(self, case):
@@ -290,17 +322,6 @@ class TestPrunedScan:
             accumulated_cost(q, r, open_begin=open_begin),
         )
 
-    def test_given_rows_match_cold_call(self):
-        rng = np.random.default_rng(95)
-        r = np.cumsum(rng.standard_normal((self.WIDTH + 300, 27)), axis=0)
-        q = r[500:620] + 0.2 * rng.standard_normal((120, 27))
-        ring = np.roll(cdist(q, r), 7, axis=0)
-        rows = [*ring[7:], *ring[:7]]
-        np.testing.assert_array_equal(
-            accumulated_cost(q, r, open_begin=True, cost=rows, prune=True),
-            accumulated_cost(q, r, open_begin=True, prune=True),
-        )
-
 
 class TestRingFedPrunedScan:
     """A lazily filled ``CostRows`` ring gives the pruned matrix of a cold
@@ -314,16 +335,22 @@ class TestRingFedPrunedScan:
     @staticmethod
     def _assert_ring_fed_equals_cold(q, r):
         """Admit ``q`` in batches of 40 frames, as the online loop does,
-        and compare the matrices; return the ring."""
-        ring = _dtw.CostRows(r, len(q))
-        for start in range(0, len(q), 40):
-            ring.admit(q[start : start + 40])
-        assert ring.tree is not None
-        np.testing.assert_array_equal(
-            accumulated_cost(q, r, open_begin=True, cost=ring, prune=True),
-            accumulated_cost(q, r, open_begin=True, prune=True),
-        )
-        return ring
+        into a ring read lazily and into one whose rows are all computed
+        before the call, and compare both matrices with the cold call's;
+        return the lazy ring."""
+        cold = accumulated_cost(q, r, open_begin=True, prune=True)
+        rings = _dtw.CostRows(r, len(q)), _dtw.CostRows(r, len(q))
+        for ring in rings:
+            for start in range(0, len(q), 40):
+                ring.admit(q[start : start + 40])
+            assert ring.tree is not None
+        rings[1].filled()
+        for ring in rings:
+            np.testing.assert_array_equal(
+                accumulated_cost(q, r, open_begin=True, cost=ring, prune=True),
+                cold,
+            )
+        return rings[0]
 
     @staticmethod
     def _partial(ring):
@@ -431,10 +458,18 @@ class TestDtwValidation:
             np.zeros((3, 5, 1)),
             np.zeros(3),
             [np.zeros(5), np.zeros(4), np.zeros(5)],
+            _dtw.CostRows(np.zeros((4, 2)), 3),
+            np.zeros((3, 5)),
         ],
-        ids=["rows-short", "rows-long", "cols-short", "3-d", "1-d", "ragged"],
+        ids=[
+            "rows-short", "rows-long", "cols-short", "3-d", "1-d", "ragged",
+            "ring-cols-short", "array",
+        ],
     )
     def test_cost_of_wrong_shape_rejected(self, cost):
+        """Only a ``CostRows`` of the query's frames against the
+        reference is accepted; arrays of any shape, the right one too,
+        are rejected."""
         with pytest.raises(ValueError, match="cost"):
             accumulated_cost(np.zeros((3, 2)), np.zeros((5, 2)), cost=cost)
 
