@@ -40,13 +40,19 @@ on open-begin alignments against references of at least
 from the rest: elsewhere its fixed cost would not pay off. It reads its
 costs from a :class:`CostRows` ring, which a cold call fills with its
 whole query and the online loop with each update's new frames: one
-code path serves both, and their matrices are equal bit for bit.
+code path serves both, and their results are equal bit for bit.
+
+Both scans write DP row ``i`` into row ``i % h`` of a buffer whose
+height ``h`` the caller picks. A caller that backtracks, as ``dtw``
+does, keeps every row (``h = n_q``); a pruned call keeps two and returns
+only the last row, so its memory follows the reference's width, not the
+query's length times it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import accumulate, cycle, islice
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -267,12 +273,22 @@ def _full_row(prev, row, s, out, enter) -> None:
     np.add(out, s, out=out)
 
 
-def _row_scan(cost, open_begin: bool) -> np.ndarray:
-    # ``cost`` is a cold call's (n_q, n_r) matrix or a CostRows ring
+def _rows(acc: np.ndarray):
+    """Pairs of (previous, current) rows of a DP buffer of ``len(acc)``
+    rows, for DP rows 1, 2, ...: DP row ``i`` lives in row
+    ``i % len(acc)``."""
+    return zip(cycle(acc), islice(cycle(acc), 1, None))
+
+
+def _row_scan(cost, open_begin: bool, height: int) -> np.ndarray:
+    """The full row scan into a buffer of ``height`` rows, where DP row
+    ``i`` lands in row ``i % height``; with ``height = n_q`` it is the
+    whole matrix. ``cost`` is a cold call's ``(n_q, n_r)`` matrix or a
+    :class:`CostRows` ring."""
     rows = iter(cost)
     first = next(rows)
     n_r = len(first)
-    acc = np.empty((len(cost), n_r))
+    acc = np.empty((height, n_r))
     if open_begin:
         acc[0] = first
     else:
@@ -280,7 +296,7 @@ def _row_scan(cost, open_begin: bool) -> np.ndarray:
     enter = np.empty(n_r)
     s = np.empty(n_r)
     kept = cost.sums if isinstance(cost, CostRows) else None
-    for i, (prev, out, row) in enumerate(zip(acc, acc[1:], rows), 1):
+    for i, ((prev, out), row) in enumerate(zip(_rows(acc), rows), 1):
         if kept is None:
             _full_row(prev, row, np.add.accumulate(row, out=s), out, enter)
         else:
@@ -330,7 +346,7 @@ def _limits(cost, reach: float) -> tuple[list, float] | None:
     return limits.tolist(), float(tol)
 
 
-def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
+def _pruned_scan(cost: CostRows, reach: float, height: int) -> np.ndarray:
     """Open-begin row scan over the cells that can reach the best match.
 
     Costs are non-negative, so a path through a cell above its row's
@@ -338,11 +354,19 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
     minima. Row ``i`` is computed from the first to one past the last
     live cell of row ``i - 1`` (every other row reuses the previous
     span instead of trimming it), then extended rightward while it stays
-    within its limit; the cells it skips are ``inf``, and of each row it
-    reads only the costs it computes. A span wider than
-    half the row, or a full previous row with both ends live, is
-    computed at full width, and where no diagonal stands out the full
-    scan runs from the start.
+    within its limit; of each row it reads only the costs it computes. A
+    span wider than half the row, or a full previous row with both ends
+    live, is computed at full width, and where no diagonal stands out
+    the full scan runs from the start.
+
+    DP row ``i`` goes to row ``i % height`` of the returned buffer, as in
+    :func:`_row_scan`. The cells a row skips must read ``inf`` to the
+    rows after it, whatever an older row left in its buffer row: a row
+    computed over a span sets the cell on each side of it to ``inf``, as
+    the next row reads at most one cell beyond the span; a full-width row
+    after a span first sets the rest of the previous row to ``inf``; and
+    so does the last row. With ``height = n_q`` every skipped cell is
+    ``inf``.
 
     Exactness, with ``d`` from :func:`_limits`: every cell of an exactly
     optimal path to a last-row column whose exact cost is within ``4 d``
@@ -355,16 +379,16 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
     """
     bounds = _limits(cost, reach)
     if bounds is None:
-        return _row_scan(cost, True)
+        return _row_scan(cost, True, height)
     limits, tol = bounds
     n_q, n_r = len(cost), cost.width
-    acc = np.empty((n_q, n_r))
+    acc = np.full((height, n_r), np.inf)
     acc[0] = cost[0]
     enter = np.empty(n_r)
     s = np.empty(n_r)
     lo, hi = 0, n_r  # the cells of the previous row that were computed
     narrowed = False
-    for i, (prev, out) in enumerate(zip(acc, acc[1:]), 1):
+    for i, (prev, out) in enumerate(islice(_rows(acc), n_q - 1), 1):
         limit = limits[i - 1]
         if hi - lo == n_r and prev[0] <= limit and prev[-1] <= limit:
             row = cost[i]
@@ -374,12 +398,14 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
             live = prev[lo:hi] <= limit
             first = int(live.argmax())
             if not live[first]:
-                return _row_scan(cost, True)
+                return _row_scan(cost, True, height)
             a = lo + first
             b = min(hi + 1 - int(live[::-1].argmax()), n_r)
         else:
             a, b = lo, min(hi + 1, n_r)
         if 2 * (b - a) > n_r:
+            prev[:lo] = np.inf
+            prev[hi:] = np.inf
             row = cost[i]
             _full_row(prev, row, np.add.accumulate(row, out=s), out, enter)
             lo, hi = 0, n_r
@@ -390,6 +416,7 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
         e, run, seg = enter[a:b], s[a:b], out[a:b]
         if a:
             np.minimum(prev[a:b], prev[a - 1 : b - 1], out=e)
+            out[a - 1] = np.inf
         else:
             e[0] = prev[0]
             np.minimum(prev[1:b], prev[: b - 1], out=e[1:])
@@ -405,17 +432,27 @@ def _pruned_scan(cost: CostRows, reach: float) -> np.ndarray:
             np.add.accumulate(s[hi - 1 : end], out=s[hi - 1 : end])
             np.add(least, s[hi:end], out=out[hi:end])
             hi = end
-        if not narrowed:  # later rows keep inf wherever they skip
-            out[:a] = np.inf
-            out[hi:] = np.inf
-            acc[i + 1 :] = np.inf
-            narrowed = True
+        if hi < n_r:
+            out[hi] = np.inf
         lo = a
+        narrowed = True
     if narrowed:
-        last = acc[-1, lo:hi]
+        last = acc[(n_q - 1) % height]
+        last[:lo] = np.inf
+        last[hi:] = np.inf
+        last = last[lo:hi]
         if np.count_nonzero(last <= last.min() + tol) > 1:
-            return _row_scan(cost, True)
+            return _row_scan(cost, True, height)
     return acc
+
+
+def _reach(query: np.ndarray, reference: np.ndarray) -> float:
+    """A bound on every frame distance: no distance exceeds the sum of
+    the two frames' norms."""
+    return float(
+        math.sqrt(query.shape[1])
+        * sum(max(x.max(), -x.min()) for x in (query, reference))
+    )
 
 
 def active_backend() -> str:
@@ -435,7 +472,8 @@ def accumulated_cost(
     cost=None,
     prune: bool = False,
 ) -> np.ndarray:
-    """Accumulated-cost matrix of the warping recurrence.
+    """Accumulated-cost matrix of the warping recurrence, or with
+    ``prune`` its last row.
 
     The cost of cell ``(i, j)`` is the Euclidean distance between query
     frame ``i`` and reference frame ``j``; allowed steps are one frame
@@ -453,18 +491,20 @@ def accumulated_cost(
     each row, and takes the row minima the ring knows exactly from the
     frames' nearest reference frames. Every other path, and every
     fallback of the pruned scan to the full one, first computes every
-    row in full. The full matrix is returned either way.
+    row in full.
 
-    ``prune`` serves callers that read only the last row's argmin. With
-    ``open_begin`` and at least ``_PRUNE_MIN_WIDTH`` reference frames
-    (and no more query frames than reference frames), the matrix keeps
-    its shape, but cells that cannot lie on a path to the best match may
-    be skipped and left ``inf``. The argmin of the last row, ties going
-    to the smallest index, is exactly the one the unpruned matrix gives,
-    and its value agrees to rounding; a computed cell is never below its
-    unpruned value by more than rounding. In every other case ``prune``
-    changes nothing. The costs must be the frame distances, as above:
-    the rounding slack is derived from the frames' magnitudes.
+    ``prune`` serves callers that read only the last row's argmin: the
+    scan keeps two DP rows and only the last row is returned, as a
+    ``(1, n_r)`` array. With ``open_begin`` and at least
+    ``_PRUNE_MIN_WIDTH`` reference frames (and no more query frames than
+    reference frames), cells that cannot lie on a path to the best match
+    may be skipped; the skipped cells of the last row are ``inf``. Its
+    argmin, ties going to the smallest index, is exactly the one the
+    unpruned matrix gives, and its value agrees to rounding; a computed
+    cell is never below its unpruned value by more than rounding. In
+    every other case the row is the unpruned matrix's last row. The
+    costs must be the frame distances, as above: the rounding slack is
+    derived from the frames' magnitudes.
     """
     query = np.asarray(query, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -487,15 +527,17 @@ def accumulated_cost(
         raise ValueError(
             f"cost must be a CostRows of {n_q} rows of {n_r} reference frames"
         )
+    height = 2 if prune else n_q
     if n_r <= _SCALAR_MAX_WIDTH:
-        return _scalar_recurrence(np.asarray(cost).tolist(), bool(open_begin))
-    if pruned:
-        # no distance exceeds the sum of the two frames' norms
-        reach = math.sqrt(query.shape[1]) * sum(
-            max(x.max(), -x.min()) for x in (query, reference)
-        )
-        return _pruned_scan(cost, float(reach))
-    return _row_scan(cost, bool(open_begin))
+        acc = _scalar_recurrence(np.asarray(cost).tolist(), bool(open_begin))
+    elif pruned:
+        acc = _pruned_scan(cost, _reach(query, reference), height)
+    else:
+        acc = _row_scan(cost, bool(open_begin), height)
+    if not prune:
+        return acc
+    last = (n_q - 1) % len(acc)
+    return acc[last : last + 1]
 
 
 def warmup() -> None:

@@ -131,11 +131,12 @@ def locate_in_reference(
     the window's frames and is passed on to :func:`accumulated_cost`.
 
     Only the last row's argmin is read, so the alignment is pruned
-    (``prune=True``): on references of at least ``_PRUNE_MIN_WIDTH``
-    frames it skips the cells that cannot lie on a path to the best
-    match, and the index is exactly the one the full matrix gives. A
-    cold call admits the window into a fresh ring, as the online loop
-    admits its frames, so both run one code path.
+    (``prune=True``): it keeps two DP rows and gets back only the last,
+    and on references of at least ``_PRUNE_MIN_WIDTH`` frames it skips
+    the cells that cannot lie on a path to the best match; the index is
+    exactly the one the full matrix gives. A cold call admits the window
+    into a fresh ring, as the online loop admits its frames, so both run
+    one code path.
     """
     if window.space != reference.space:
         raise ValueError(

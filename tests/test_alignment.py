@@ -11,9 +11,12 @@ diagonal-first backtracking) are pinned with literals. The pruned scan
 (``prune=True``) is checked against the full one: the located index on
 random inputs on both sides of its width switch, its worst cases, exact
 and near ties, the cases where it must change nothing, and the share of
-cells a cold call computes. Fed by a ring admitted in batches, lazily
-filled or computed in full, it must give the cold call's matrix bit for
-bit on each of its paths.
+cells a cold call computes. ``prune=True`` returns only the last row of
+a two-row buffer, which must equal the last row of the pruned kernel run
+with one buffer row per query frame; the interior cells are checked on
+that whole matrix. Fed by a ring admitted in batches, lazily filled or
+computed in full, it must give the cold call's last row and matrix bit
+for bit on each of its paths.
 """
 
 import numpy as np
@@ -151,7 +154,7 @@ class TestNumpySizeSwitch:
         cost = cdist(
             rng.standard_normal((50, 27)), rng.standard_normal((260, 27))
         )
-        scanned = _dtw._row_scan(cost, open_begin)
+        scanned = _dtw._row_scan(cost, open_begin, len(cost))
         scalar = _dtw._scalar_recurrence(cost.tolist(), open_begin)
         np.testing.assert_allclose(scalar, scanned, rtol=1e-12, atol=0)
         assert np.argmin(scalar[-1]) == np.argmin(scanned[-1])
@@ -198,14 +201,28 @@ class TestNumpySizeSwitch:
 
 
 class TestPrunedScan:
-    """``prune=True`` keeps the last row's argmin and skips cells."""
+    """``prune=True`` returns only the last row, keeps its argmin and skips
+    cells. The pruned scan's other rows are checked on the kernel run
+    with a buffer of one row per query frame."""
 
     WIDTH = _dtw._PRUNE_MIN_WIDTH
 
     @staticmethod
     def _pair(q, r):
-        pruned = accumulated_cost(q, r, open_begin=True, prune=True)
+        """The pruned scan's whole matrix and the full matrix. The last row
+        ``prune=True`` returns from its two-row buffer must equal the last
+        row of the whole pruned matrix, bit for bit; below the prune width
+        that is the full matrix."""
         full = accumulated_cost(q, r, open_begin=True)
+        if len(r) < _dtw._PRUNE_MIN_WIDTH:
+            pruned = full
+        else:
+            ring = _dtw.CostRows(r, len(q))
+            ring.admit(q)
+            pruned = _dtw._pruned_scan(ring, _dtw._reach(q, r), len(q))
+        last = accumulated_cost(q, r, open_begin=True, prune=True)
+        assert last.shape == (1, len(r))
+        np.testing.assert_array_equal(last, pruned[-1:])
         return pruned, full
 
     @staticmethod
@@ -251,8 +268,6 @@ class TestPrunedScan:
                 pruned[computed]
                 >= full[computed] - self._rounding(cost, full[computed])
             ), trial
-            if n_r < self.WIDTH:
-                np.testing.assert_array_equal(pruned, full)
             pruned_somewhere += not computed.all()
         assert pruned_somewhere > 200
 
@@ -314,21 +329,22 @@ class TestPrunedScan:
         "open_begin, extra", [(False, 100), (True, -1)], ids=["closed", "narrow"]
     )
     def test_changes_nothing_when_closed_or_narrow(self, open_begin, extra):
+        """Only the last row is returned, and it is the full one's."""
         rng = np.random.default_rng(94)
         r = np.cumsum(rng.standard_normal((self.WIDTH + extra, 4)), axis=0)
         q = r[300:360] + 0.1 * rng.standard_normal((60, 4))
         np.testing.assert_array_equal(
             accumulated_cost(q, r, open_begin=open_begin, prune=True),
-            accumulated_cost(q, r, open_begin=open_begin),
+            accumulated_cost(q, r, open_begin=open_begin)[-1:],
         )
 
 
 class TestRingFedPrunedScan:
-    """A lazily filled ``CostRows`` ring gives the pruned matrix of a cold
-    call bit for bit on every path of the scan: where it prunes, where a
-    row's span covers over half the width, where it falls back to the full
-    scan, and where the nearest reference frame is not unique, so a row's
-    minimum must come from the full row."""
+    """A lazily filled ``CostRows`` ring gives the pruned last row and
+    matrix of a cold call bit for bit on every path of the scan: where it
+    prunes, where a row's span covers over half the width, where it falls
+    back to the full scan, and where the nearest reference frame is not
+    unique, so a row's minimum must come from the full row."""
 
     WIDTH = _dtw._PRUNE_MIN_WIDTH
 
@@ -336,9 +352,15 @@ class TestRingFedPrunedScan:
     def _assert_ring_fed_equals_cold(q, r):
         """Admit ``q`` in batches of 40 frames, as the online loop does,
         into a ring read lazily and into one whose rows are all computed
-        before the call, and compare both matrices with the cold call's;
-        return the lazy ring."""
+        before the call, and compare both last rows with the cold call's,
+        and both whole pruned matrices (the kernel run with a buffer of
+        one row per query frame) with a cold ring's; return the lazy
+        ring."""
         cold = accumulated_cost(q, r, open_begin=True, prune=True)
+        reach = _dtw._reach(q, r)
+        fresh = _dtw.CostRows(r, len(q))
+        fresh.admit(q)
+        whole = _dtw._pruned_scan(fresh, reach, len(q))
         rings = _dtw.CostRows(r, len(q)), _dtw.CostRows(r, len(q))
         for ring in rings:
             for start in range(0, len(q), 40):
@@ -349,6 +371,9 @@ class TestRingFedPrunedScan:
             np.testing.assert_array_equal(
                 accumulated_cost(q, r, open_begin=True, cost=ring, prune=True),
                 cold,
+            )
+            np.testing.assert_array_equal(
+                _dtw._pruned_scan(ring, reach, len(q)), whole
             )
         return rings[0]
 

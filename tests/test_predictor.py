@@ -12,8 +12,9 @@ alignment, so every located column is compared with the argmin of a
 cold, unpruned one: on the small fixture with the prune width lowered,
 on a reference of the benchmark's ``stream`` size, and on random
 streams that leave the cycle. On the wide reference the cost-row ring
-computes cells only as the scan reads them, and a ring whose storage
-starts as NaN must give the same batches; on a narrow one it computes
+computes cells only as the scan reads them, a ring whose storage starts
+as NaN must give the same batches, and a warm update allocates a small
+fraction of one accumulated-cost matrix; on a narrow one it computes
 every row in full. An update computes only what its new frames add: the
 narrow ring sums each row once, on admission, and the scan fed those
 sums equals a cold one; it computes only the cycle's columns and copies
@@ -25,6 +26,7 @@ window equals the conversion of the last ``past_frames`` frames.
 import json
 import logging
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -436,9 +438,10 @@ class TestRunOnline:
         self, stream_setup, monkeypatch
     ):
         """Profilers wrap these module attributes; every update must go
-        through each of them exactly once. The matrix the kept cost rows
-        give equals a cold call's, bit for bit, and the located column is
-        the argmin of a cold, unpruned alignment."""
+        through each of them exactly once. The last row the kept cost rows
+        give, the only row the lookup gets back, equals a cold call's, bit
+        for bit, and the located column is the argmin of a cold, unpruned
+        alignment."""
         _check_traced_call_chain(stream_setup, monkeypatch)
 
     def test_pruned_lookup_keeps_the_call_chain_and_index(
@@ -534,8 +537,8 @@ def _assert_matches_offline(ref, coll, sk, frames, dropped_stamps):
 
 def _check_traced_call_chain(stream_setup, monkeypatch):
     """Count the calls of each traced layer per batch, compare each
-    matrix with a cold call's and each located column with a cold,
-    unpruned alignment's argmin."""
+    returned last row with a cold call's and each located column with a
+    cold, unpruned alignment's argmin."""
     ref, cfg, coll, sk, cart = stream_setup
     calls = {}
     results = []
@@ -570,7 +573,7 @@ def _check_traced_call_chain(stream_setup, monkeypatch):
     ext_frames = ref.length_frames + cfg.past_frames
     for acc, cold in results:
         assert isinstance(acc, np.ndarray)
-        assert acc.shape == (cfg.past_frames, ext_frames)
+        assert acc.shape == (1, ext_frames)
         np.testing.assert_array_equal(acc, cold)
     _assert_located_as_unpruned(located)
 
@@ -754,6 +757,27 @@ class TestPrunedLookup:
         assert len(rings) == 1 and rings[0].tree is not None
         assert np.median(skipped) > 0.5
 
+    def test_warm_update_allocates_no_matrix(self, wide_stream):
+        """The lookup keeps two DP rows, not one row per window frame: the
+        median tracemalloc peak of 20 warm updates stays below a quarter
+        of one ``past_frames`` by ``n_ext`` float64 matrix."""
+        ref, coll, sk, held = wide_stream
+        past = coll.config.past_frames
+        matrix = past * (ref.length_frames + past) * 8
+        updates = run_online(iter(held), ref, coll, sk)
+        next(updates)  # the first update builds the ring and its k-d tree
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                next(updates)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert np.median(peaks) < matrix / 4
+
     @settings(max_examples=25, deadline=None)
     @given(
         segments=st.lists(
@@ -900,7 +924,9 @@ class TestKeptRowSums:
                     ring.sums[s], np.add.accumulate(ring.cells[s])
                 )
             cold = cdist(ring.frames[ring.order], ring.reference)
-            np.testing.assert_array_equal(acc, _dtw._row_scan(cold, True))
+            whole = _dtw._row_scan(cold, True, past)
+            np.testing.assert_array_equal(acc, whole[-1:])
+            np.testing.assert_array_equal(_dtw._row_scan(ring, True, past), whole)
             summed.clear()
             matrices.clear()
         assert n == (len(held) - offset - past) // 60 + 1
