@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from tensormotion.kinematics import SPACE_JOINT_ANGLE, MotionSequence
 
@@ -66,6 +65,32 @@ def _dominant_period(signal: np.ndarray) -> float:
     return signal.size / k
 
 
+def _find_peaks(x: np.ndarray, height: float, distance: float) -> np.ndarray:
+    """Peak indices of ``x``, equal to
+    ``scipy.signal.find_peaks(x, height=height, distance=distance)[0]``.
+
+    The rule is stated in :func:`detect_cycles`. ``distance`` must be at
+    least 1.
+    """
+    before, after = x[:-1], x[1:]
+    # the runs between two value changes span [left + 1, right]
+    edge = np.flatnonzero(before != after)
+    left, right = edge[:-1], edge[1:]
+    run = (before < after)[left] & (after < before)[right]
+    peaks = (left[run] + 1 + right[run]) // 2
+    peaks = peaks[x[peaks] >= height]
+    # peaks lie on whole samples, so closer than distance is closer than
+    # distance rounded up
+    lo = np.searchsorted(peaks, peaks - distance, side="right").tolist()
+    hi = np.searchsorted(peaks, peaks + distance, side="left").tolist()
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1].tolist():
+        if keep[j]:
+            keep[lo[j] : hi[j]] = False
+            keep[j] = True
+    return peaks[keep]
+
+
 def detect_cycles(
     signal: np.ndarray,
     peaks_per_cycle: int,
@@ -74,13 +99,21 @@ def detect_cycles(
 ) -> list[tuple[int, int]]:
     """Split a periodic signal into cycles of ``peaks_per_cycle`` peaks.
 
-    Peaks are local maxima above ``threshold`` (default: mean plus half
-    a standard deviation) separated by at least ``min_peak_distance``
-    samples (default: a quarter of the dominant period). The boundary
-    after each cycle-closing peak is the signal minimum between it and
-    the next peak, or the minimum of the remaining tail when no peak
-    follows. The first cycle starts at the minimum before the first
-    peak.
+    A peak is a run of equal samples higher than the samples on either
+    side, placed at the run's middle sample (rounded down); a run that
+    touches either end of the signal is not a peak. Peaks below
+    ``threshold`` (default: mean plus half a standard deviation) are
+    dropped. The rest are thinned by ``min_peak_distance`` (default: a
+    quarter of the dominant period; it must be at least 1 and is
+    rounded up): taking the highest peak first, each kept peak removes
+    every remaining peak closer than that many samples. Equal heights
+    are taken in ``np.argsort`` order, as ``scipy.signal.find_peaks``
+    does.
+
+    The boundary after each cycle-closing peak is the signal minimum
+    between it and the next peak, or the minimum of the remaining tail
+    when no peak follows. The first cycle starts at the minimum before
+    the first peak.
 
     Returns
     -------
@@ -98,7 +131,11 @@ def detect_cycles(
         threshold = float(signal.mean() + 0.5 * signal.std())
     if min_peak_distance is None:
         min_peak_distance = max(1, round(0.25 * _dominant_period(signal)))
-    peaks, _ = find_peaks(signal, height=threshold, distance=min_peak_distance)
+    elif not min_peak_distance >= 1:
+        raise ValueError(
+            f"min_peak_distance must be at least 1, got {min_peak_distance}"
+        )
+    peaks = _find_peaks(signal, threshold, min_peak_distance)
     if len(peaks) < peaks_per_cycle:
         raise ValueError(
             f"found {len(peaks)} peaks, need {peaks_per_cycle} for one cycle"

@@ -285,6 +285,18 @@ class TestErrorPaths:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_peak_distance_below_one_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        code = main([
+            "prep", "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "ref.npz"), "--min-peak-distance", "0",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "min_peak_distance" in err[0]
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,real,header\n1,2,3,4\n")

@@ -2,15 +2,19 @@
 
 Detection oracles on clean sinusoids are frozen: peaks, the minima
 between them, and therefore the boundary frames are all known by hand.
+The peak finder itself is checked against ``scipy.signal.find_peaks``.
 Averaging conventions (population spread, median target length) are
 pinned with mirror-pair literals.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensormotion.cycles import (
     ReferenceCycle,
+    _find_peaks,
     build_reference,
     detect_cycles,
     extend_reference,
@@ -69,6 +73,48 @@ class TestSmoothSignal:
             smooth_signal(np.zeros((5, 5)), 0.5)
 
 
+# integer-valued runs: plateaus, exact ties and plateaus at either end
+_RUN_SIGNALS = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(1, 4)), min_size=1, max_size=25
+).map(lambda runs: np.repeat(*zip(*runs)).astype(float))
+# long trains of tied peaks, where the thinning order decides
+_PEAK_TRAINS = st.lists(st.integers(1, 3), min_size=1, max_size=80).map(
+    lambda heights: np.ravel(np.column_stack([np.zeros(len(heights)), heights]))
+)
+_FLOAT_SIGNALS = st.lists(st.floats(-10, 10), min_size=1, max_size=40).map(
+    lambda values: np.array(values, dtype=float)
+)
+
+
+class TestFindPeaks:
+    """The peak finder returns what ``scipy.signal.find_peaks`` returns.
+    scipy is the reference implementation, so only this test imports
+    ``scipy.signal``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=st.one_of(_RUN_SIGNALS, _PEAK_TRAINS, _FLOAT_SIGNALS),
+        height=st.one_of(st.integers(-2, 2), st.floats(-3, 3)),
+        distance=st.one_of(st.just(1), st.integers(1, 20), st.floats(1, 20)),
+    )
+    @example(x=np.full(9, 0.5), height=0, distance=1)
+    @example(x=np.array([1.0]), height=0, distance=1)
+    @example(x=np.array([0.0, 1.0]), height=0, distance=1)
+    @example(x=np.array([0.0, 1.0, 0.0]), height=1, distance=1)
+    @example(x=np.array([2.0, 2, 1, 2, 1, 0, 0]), height=0, distance=1)
+    @example(x=np.array([0.0, 1, 0, 2, 2, 0, 1, 1]), height=1, distance=2.5)
+    @example(x=np.array([0.0, 1, 0, 1, 0, 1, 0, 1, 0]), height=1, distance=1.5)
+    def test_matches_scipy(self, x, height, distance):
+        from scipy.signal import find_peaks
+
+        expected, _ = find_peaks(x, height=height, distance=distance)
+        np.testing.assert_array_equal(_find_peaks(x, height, distance), expected)
+
+    def test_plateau_peaks_at_their_middle(self):
+        x = np.array([0.0, 1, 1, 1, 1, 0, 2, 2, 2, 0])
+        assert _find_peaks(x, 0, 1).tolist() == [2, 7]
+
+
 class TestDetectCycles:
     """Peak-grouped boundary placement."""
 
@@ -117,6 +163,12 @@ class TestDetectCycles:
             detect_cycles(np.zeros((4, 4)), 1)
         with pytest.raises(ValueError):
             detect_cycles(np.zeros(10), 0)
+
+    @pytest.mark.parametrize("distance", [0, -3, 0.5])
+    def test_peak_distance_below_one_is_named(self, distance):
+        s = np.sin(2 * np.pi * np.arange(400) / 100.0)
+        with pytest.raises(ValueError, match="min_peak_distance"):
+            detect_cycles(s, 1, min_peak_distance=distance)
 
 
 class TestResampleCycle:
