@@ -44,6 +44,7 @@ from tensormotion.predictor import (
     CoefficientCollection,
     CollectionEntry,
     PipelineConfig,
+    PredictedFrames,
     PredictionBatch,
     PredictionFrame,
     build_collection,
@@ -103,6 +104,7 @@ __all__ = [
     "CoefficientCollection",
     "CollectionEntry",
     "PipelineConfig",
+    "PredictedFrames",
     "PredictionBatch",
     "PredictionFrame",
     "build_collection",

@@ -460,7 +460,7 @@ def active_backend() -> str:
 
     Kept only because the benchmark harness records it in its
     environment line; it goes once the harness states the
-    implementation itself (ROADMAP items 5(g) and 7).
+    implementation itself (ROADMAP items 6(g) and 9).
     """
     return "numpy"
 

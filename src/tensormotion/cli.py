@@ -335,13 +335,9 @@ def _cmd_predict(args) -> int:
         "stamps": np.array([b.last_observed_frame for b in batches], dtype=np.int64),
         "model_index": np.array([b.model_index for b in batches], dtype=np.int64),
         "gap_frames": np.array([b.gap_frames for b in batches], dtype=np.int64),
-        "coordinates": np.stack(
-            [[f.coordinates for f in b.frames] for b in batches]
-        ),
-        "angles": np.stack([[f.angles for f in b.frames] for b in batches]),
-        "clamped": np.array(
-            [[f.clamped_entries for f in b.frames] for b in batches], dtype=np.int64
-        ),
+        "coordinates": np.stack([b.coordinates for b in batches]),
+        "angles": np.stack([b.angles for b in batches]),
+        "clamped": np.stack([b.clamped_entries for b in batches]),
         "horizons_s": np.array(horizons),
     }
     for i, (horizon, h_frames) in enumerate(zip(horizons, steps)):

@@ -157,10 +157,10 @@ def evaluate_predictions(
     if not batches:
         raise ValueError("no batches to evaluate")
     stamps = [b.last_observed_frame for b in batches]
-    reach = len(batches[0].frames)
+    reach = batches[0].coordinates.shape[0]
     picked = pick_latest(stamps, horizon_frames, truth.n_frames, max_offset=reach)
     return _series_from_coords(
-        picked, lambda row, h: batches[row].frames[h - 1].coordinates, truth
+        picked, lambda row, h: batches[row].coordinates[h - 1], truth
     )
 
 

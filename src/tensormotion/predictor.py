@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "CoefficientCollection",
     "CollectionEntry",
     "PipelineConfig",
+    "PredictedFrames",
     "PredictionBatch",
     "PredictionFrame",
     "build_collection",
@@ -167,12 +169,11 @@ class CoefficientCollection:
 
 @dataclass(frozen=True)
 class PredictionFrame:
-    """A single predicted frame.
+    """One predicted frame: the element type of :class:`PredictedFrames`,
+    which builds it over views of one row of its arrays.
 
     ``horizon_frames`` counts forward from the last observed frame
-    (1-based). ``angles`` are clipped to ``[0, pi]``;
-    ``clamped_entries`` says how many entries the clip actually moved.
-    ``coordinates`` are the back-transformed positions, root included.
+    (1-based); ``clamped_entries`` is the frame's clamp count.
     """
 
     horizon_frames: int
@@ -180,6 +181,66 @@ class PredictionFrame:
     coordinates: np.ndarray
     model_index: int
     clamped_entries: int
+
+
+class PredictedFrames(Sequence):
+    """The frames predicted at one update, held as arrays.
+
+    Row ``h`` of each array is the frame ``h + 1`` frames after the last
+    observed one. ``angles`` ``(H, J, 3)`` are clipped to ``[0, pi]``;
+    ``clamped_entries`` ``(H,)`` int64 says how many entries the clip
+    moved in each frame. ``coordinates`` ``(H, J + 1, 3)`` are the
+    back-transformed positions, root included. ``model_index`` is the
+    model that predicted them.
+
+    For code that reads one frame at a time it is also a read-only
+    sequence of :class:`PredictionFrame`: ``len`` is ``H``, and indexing
+    (negative indices and slices too, as on a tuple) builds each frame
+    over views of its rows.
+    """
+
+    __slots__ = ("angles", "coordinates", "clamped_entries", "model_index")
+
+    def __init__(self, angles, coordinates, clamped_entries, model_index: int):
+        self.angles = angles
+        self.coordinates = coordinates
+        self.clamped_entries = clamped_entries
+        self.model_index = model_index
+
+    @classmethod
+    def stack(cls, frames) -> "PredictedFrames":
+        """Stack a sequence of :class:`PredictionFrame` into arrays.
+
+        The frames must count horizons ``1 ... H`` in order and come
+        from one model.
+        """
+        frames = tuple(frames)
+        models = {f.model_index for f in frames}
+        if len(models) != 1:
+            raise ValueError("a batch needs at least one frame, all from one model")
+        if [f.horizon_frames for f in frames] != list(range(1, len(frames) + 1)):
+            raise ValueError("frames must count horizons 1, 2, ... in order")
+        return cls(
+            np.stack([f.angles for f in frames]),
+            np.stack([f.coordinates for f in frames]),
+            np.array([f.clamped_entries for f in frames], dtype=np.int64),
+            models.pop(),
+        )
+
+    def __len__(self) -> int:
+        return self.angles.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[h] for h in range(len(self))[index])
+        h = range(len(self))[index]
+        return PredictionFrame(
+            horizon_frames=h + 1,
+            angles=self.angles[h],
+            coordinates=self.coordinates[h],
+            model_index=self.model_index,
+            clamped_entries=int(self.clamped_entries[h]),
+        )
 
 
 @dataclass(frozen=True)
@@ -190,12 +251,35 @@ class PredictionBatch:
     frame that entered the window; predicted frames cover indices
     ``last_observed_frame + 1 ... + horizon``. ``gap_frames`` counts
     frames the stream skipped since the previous batch.
+
+    ``frames`` holds the predicted arrays (:class:`PredictedFrames`);
+    ``angles``, ``coordinates`` and ``clamped_entries`` read them
+    directly. ``frames`` may be given as any sequence of
+    :class:`PredictionFrame` too, which is stacked into arrays; read as
+    a sequence, it is a compatibility view for code that reads one frame
+    at a time.
     """
 
     last_observed_frame: int
     model_index: int
-    frames: tuple[PredictionFrame, ...]
+    frames: PredictedFrames
     gap_frames: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.frames, PredictedFrames):
+            object.__setattr__(self, "frames", PredictedFrames.stack(self.frames))
+
+    @property
+    def angles(self) -> np.ndarray:
+        return self.frames.angles
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        return self.frames.coordinates
+
+    @property
+    def clamped_entries(self) -> np.ndarray:
+        return self.frames.clamped_entries
 
 
 def build_collection(
@@ -285,15 +369,17 @@ def predict_window(
     config: PipelineConfig,
     model_index: int = -1,
     root_policy: str = "hold",
-) -> list[PredictionFrame]:
+) -> PredictedFrames:
     """Predict the next ``future_frames`` frames from one observed window.
 
-    The model maps the whole window to its shifted image; only the tail
-    beyond the last observed frame is emitted. Predicted angles are
-    clipped to ``[0, pi]`` (counting what the clip moved) and
-    back-transformed with the skeleton's fixed segment lengths. The root
-    is extrapolated per ``root_policy``: ``"hold"`` repeats the last
-    observed root, ``"linear"`` continues its last step.
+    The model maps each frame of the window to the frame
+    ``future_frames`` later, so only the last ``future_frames`` frames
+    are contracted: their images lie beyond the last observed frame.
+    Predicted angles are clipped to ``[0, pi]`` (counting what the clip
+    moved) and back-transformed with the skeleton's fixed segment
+    lengths. The root is extrapolated per ``root_policy``: ``"hold"``
+    repeats the last observed root, ``"linear"`` continues its last
+    step.
     """
     if window.space != SPACE_JOINT_ANGLE:
         raise ValueError("predict_window expects an angle-space window")
@@ -310,22 +396,12 @@ def predict_window(
     if window.joint_names != skeleton.non_root_joints:
         raise ValueError("window joints do not match the skeleton")
 
-    shifted = predict(window.frames, factors)
-    tail = shifted[-config.future_frames :]
+    tail = predict(window.frames[-config.future_frames :], factors)
     clipped = np.clip(tail, 0.0, np.pi)
-    clamped_per_frame = np.count_nonzero(clipped != tail, axis=(1, 2))
+    clamped = np.count_nonzero(clipped != tail, axis=(1, 2)).astype(np.int64)
     roots = _future_roots(window.root_track, config.future_frames, root_policy)
     coords = angles_to_coordinates(clipped, roots, skeleton)
-    return [
-        PredictionFrame(
-            horizon_frames=h + 1,
-            angles=clipped[h],
-            coordinates=coords[h],
-            model_index=model_index,
-            clamped_entries=int(clamped_per_frame[h]),
-        )
-        for h in range(config.future_frames)
-    ]
+    return PredictedFrames(clipped, coords, clamped, model_index)
 
 
 def run_online(
@@ -460,14 +536,13 @@ def run_online(
             )
             ring.admit(new.frames.reshape(new.n_frames, -1))
             idx, factors = select_coefficient(window, ext, collection, cost=ring)
-            frames = predict_window(
-                window, factors, skeleton, cfg, model_index=idx,
-                root_policy=root_policy,
-            )
             yield PredictionBatch(
                 last_observed_frame=count - 1,
                 model_index=idx,
-                frames=tuple(frames),
+                frames=predict_window(
+                    window, factors, skeleton, cfg, model_index=idx,
+                    root_policy=root_policy,
+                ),
                 gap_frames=pending_gap,
             )
             pending_gap = 0

@@ -20,7 +20,10 @@ narrow ring sums each row once, on admission, and the scan fed those
 sums equals a cold one; it computes only the cycle's columns and copies
 the extended reference's head from them, and every row equals a cold
 ``cdist``; the loop converts only the new frames to angles, and every
-window equals the conversion of the last ``past_frames`` frames.
+window equals the conversion of the last ``past_frames`` frames. A batch
+holds its frames as arrays: held batches cost little beyond them, and
+batches built from ``PredictionFrame`` sequences, as the benchmark's
+offline replay builds them, equal the online ones array for array.
 """
 
 import json
@@ -28,6 +31,7 @@ import logging
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +57,8 @@ from tensormotion.predictor import (
     CoefficientCollection,
     CollectionEntry,
     PipelineConfig,
+    PredictionBatch,
+    PredictionFrame,
     build_collection,
     load_collection,
     predict_window,
@@ -1076,6 +1082,110 @@ class TestNonFiniteFrames:
             int(b.last_observed_frame == 359) for b in batches
         ]
         assert all(b.gap_frames == 0 for b in clean)
+
+
+class TestBatchArrays:
+    """A batch holds its frames as arrays; ``frames`` still reads and
+    builds batches the way the benchmark's offline replay does."""
+
+    def test_held_batches_cost_little_beyond_their_arrays(self, capture_stream):
+        """100 held batches of the benchmark's window (240 frames in, 60
+        out, 10 joints) free at most 1.25 times their array payload when
+        dropped; one object per frame cost 1.8 times."""
+        ref, coll, sk, held = capture_stream
+        coll = replace(coll, config=replace(coll.config, update_stride_frames=20))
+        updates = run_online(iter(held), ref, coll, sk)
+        next(updates)  # the first update builds the ring
+        tracemalloc.start()
+        try:
+            batches = list(islice(updates, 100))
+            assert len(batches) == 100
+            payload = sum(
+                f.angles.nbytes + f.coordinates.nbytes + 8
+                for b in batches
+                for f in b.frames
+            )
+            holding = tracemalloc.get_traced_memory()[0]
+            del batches
+            freed = holding - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            updates.close()
+        assert payload == 100 * 60 * (9 * 3 + 10 * 3 + 1) * 8
+        assert freed <= 1.25 * payload
+
+    def test_offline_replay_round_trips(self, capture_stream):
+        """``PredictionBatch(frames=tuple(predict_window(...)))`` and a
+        batch rebuilt from ``tuple(batch.frames)`` equal the online batch
+        array for array, and ``frames`` indexes like a tuple."""
+        ref, coll, sk, held = capture_stream
+        cfg = coll.config
+        past = cfg.past_frames
+        ext = extend_reference(ref, past)
+        batches = list(islice(run_online(iter(held), ref, coll, sk), 0, None, 20))
+        assert len(batches) == 3
+        for batch in batches:
+            end = batch.last_observed_frame + 1
+            cart = MotionSequence(
+                frames=held[end - past : end],
+                frame_rate=cfg.frame_rate,
+                space=SPACE_CARTESIAN,
+                joint_names=sk.joints,
+            )
+            window, _ = to_joint_angles(cart, sk)
+            idx, factors = select_coefficient(window, ext, coll)
+            offline = PredictionBatch(
+                last_observed_frame=batch.last_observed_frame,
+                model_index=idx,
+                frames=tuple(predict_window(window, factors, sk, cfg, model_index=idx)),
+            )
+            copied = PredictionBatch(
+                last_observed_frame=batch.last_observed_frame,
+                model_index=batch.model_index,
+                frames=tuple(batch.frames),
+            )
+            for other in (offline, copied):
+                assert other.model_index == other.frames.model_index == batch.model_index
+                for name in ("angles", "coordinates", "clamped_entries"):
+                    got, want = getattr(other, name), getattr(batch, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+        frames = batches[0].frames
+        as_tuple = tuple(frames)
+        assert len(frames) == len(as_tuple) == cfg.future_frames
+        for index in (0, 7, -1, -cfg.future_frames):
+            got, want = frames[index], as_tuple[index]
+            assert got.horizon_frames == want.horizon_frames
+            assert got.model_index == want.model_index
+            assert got.clamped_entries == want.clamped_entries
+            np.testing.assert_array_equal(got.coordinates, want.coordinates)
+        assert frames[-1].horizon_frames == cfg.future_frames
+        assert np.shares_memory(frames[-1].coordinates, frames.coordinates)
+        assert [f.horizon_frames for f in frames[2:8:3]] == [3, 6]
+        assert isinstance(frames[2:8:3], tuple)
+        for index in (cfg.future_frames, -cfg.future_frames - 1):
+            with pytest.raises(IndexError):
+                frames[index]
+
+    def test_frames_must_form_one_horizon(self):
+        """The stacking constructor takes frames 1..H of one model."""
+        frame = PredictionFrame(
+            horizon_frames=1,
+            angles=np.zeros((2, 3)),
+            coordinates=np.zeros((3, 3)),
+            model_index=0,
+            clamped_entries=0,
+        )
+        with pytest.raises(ValueError, match="one model"):
+            PredictionBatch(last_observed_frame=0, model_index=0, frames=())
+        with pytest.raises(ValueError, match="one model"):
+            PredictionBatch(
+                last_observed_frame=0,
+                model_index=0,
+                frames=(frame, replace(frame, horizon_frames=2, model_index=1)),
+            )
+        with pytest.raises(ValueError, match="horizons"):
+            PredictionBatch(last_observed_frame=0, model_index=0, frames=(frame, frame))
 
 
 class TestPersistence:
